@@ -31,7 +31,7 @@ use mt_analyze::{
 use mt_core::{ModelZoo, PaperModel};
 use mt_memory::{ActivationMemoryModel, Parallelism, Recompute, Strategy};
 use mt_model::pipeline_exec::interleaved_device_ops;
-use mt_model::{OverlapPolicy, TransformerConfig};
+use mt_model::TransformerConfig;
 use std::process::ExitCode;
 
 const POLICIES: [Recompute; 3] = [Recompute::None, Recompute::Selective, Recompute::Full];
@@ -143,8 +143,8 @@ fn main() -> ExitCode {
 
         // (3) Forward wire equality: the Section 4.2.2 claim, per rank.
         for policy in POLICIES {
-            let tp = layer_forward_program(&cfg, 8, false, policy, OverlapPolicy::Exposed);
-            let sp = layer_forward_program(&cfg, 8, true, policy, OverlapPolicy::Exposed);
+            let tp = layer_forward_program(&cfg, 8, false, policy);
+            let sp = layer_forward_program(&cfg, 8, true, policy);
             let tp_stats = program_comm_stats(&tp);
             let sp_stats = program_comm_stats(&sp);
             let equal = tp_stats
@@ -196,7 +196,7 @@ fn verify_combo(
     let per_layer = per_layer_closed_form(model, mode.t, mode.sp, policy);
 
     // (1) Per-layer program: matching + exact Table 2 equality per rank.
-    let layer = layer_program(cfg, mode.t, mode.sp, policy, OverlapPolicy::Exposed);
+    let layer = layer_program(cfg, mode.t, mode.sp, policy);
     gate.check(check_schedule(&layer).is_ok(), &format!("{tag}: layer collective matching"));
     match analyze_liveness(&layer) {
         Ok(reports) => {

@@ -10,10 +10,10 @@
 //! verifies the *actual* rendezvous identities.
 
 use crate::ir::{AllocId, GroupId, Program, RankProgram, ScheduleOp};
-use mt_collectives::{chunk_rows, CallTag, CollectiveKind};
+use mt_collectives::{CallTag, CollectiveKind};
 use mt_memory::Recompute;
 use mt_model::pipeline_exec::{interleaved_device_ops, stage_ops};
-use mt_model::{Category, OverlapPolicy, TransformerConfig};
+use mt_model::{Category, TransformerConfig};
 
 /// Static image of `mt_model::ExecMode`: how a layer executes, without a
 /// live communicator attached.
@@ -82,10 +82,7 @@ impl Emitter {
     }
 
     /// Emits a collective with the tag the runtime's single constructor
-    /// would build: `op` + the *argument* tensor's shape + optional root +
-    /// optional chunk coordinate (for the `OverlapPolicy::Overlapped`
-    /// sub-rendezvous).
-    #[allow(clippy::too_many_arguments)]
+    /// would build: `op` + the *argument* tensor's shape + optional root.
     fn collective(
         &mut self,
         group: GroupId,
@@ -93,11 +90,10 @@ impl Emitter {
         op: &'static str,
         shape: &[usize],
         root: Option<usize>,
-        chunk: Option<(usize, usize)>,
         payload_elems: u64,
     ) {
         let epoch = self.epoch;
-        let tag = CallTag { op, shape: shape.to_vec(), root, chunk, epoch };
+        let tag = CallTag { op, shape: shape.to_vec(), root, epoch };
         self.ops.push(ScheduleOp::Collective { group, kind, tag, payload_elems });
     }
 
@@ -117,7 +113,6 @@ struct LayerCtx {
     t: usize,
     mode: StaticMode,
     policy: Recompute,
-    overlap: OverlapPolicy,
     group: GroupId,
 }
 
@@ -137,104 +132,34 @@ impl LayerCtx {
 
     /// `g` forward / the SP re-gathers: all-gather of a `[rows, h]` shard
     /// (tag carries the shard shape; stats record the full gathered size).
-    /// Under [`OverlapPolicy::Overlapped`] the gather is `C` chunk
-    /// sub-rendezvous, tagged and sized exactly as
-    /// `Communicator::all_gather_chunk` tags and sizes them: chunk `j`
-    /// carries shard rows `[a, b)` of the [`chunk_rows`] partition, so the
-    /// per-chunk payloads sum to the whole-tensor payload.
     fn enter_region_fwd(&self, e: &mut Emitter) {
         if !self.mode.sequence_parallel() {
             return;
         }
         let h = self.cfg.hidden;
         let rows = self.rows();
-        match self.overlap {
-            OverlapPolicy::Exposed => {
-                e.collective(
-                    self.group,
-                    CollectiveKind::AllGather,
-                    "all_gather",
-                    &[rows, h],
-                    None,
-                    None,
-                    (rows * self.t * h) as u64,
-                );
-            }
-            // `OverlappedRecompute` adds a recompute-prefetch thread, not a
-            // wire change: the replay it hides is collective-free, so its
-            // collective schedule is exactly `Overlapped`'s chunked one.
-            OverlapPolicy::Overlapped { chunks }
-            | OverlapPolicy::OverlappedRecompute { chunks } => {
-                for j in 0..chunks {
-                    let (a, b) = chunk_rows(rows, chunks, j);
-                    e.collective(
-                        self.group,
-                        CollectiveKind::AllGather,
-                        "all_gather",
-                        &[b - a, h],
-                        None,
-                        Some((j, chunks)),
-                        ((b - a) * self.t * h) as u64,
-                    );
-                }
-            }
-        }
+        e.collective(
+            self.group,
+            CollectiveKind::AllGather,
+            "all_gather",
+            &[rows, h],
+            None,
+            (rows * self.t * h) as u64,
+        );
     }
 
     /// `f̄`/`ḡ` forward: all-reduce (TP) or reduce-scatter (SP) of the full
-    /// `[tokens, h]` partial sums. The SP reduce-scatter chunks under
-    /// [`OverlapPolicy::Overlapped`], mirroring
-    /// `Communicator::reduce_scatter_chunk`: the partition runs over the
-    /// *result-shard* rows, and chunk `j`'s contribution (and tag shape) is
-    /// `[t·(b−a), h]`. The TP all-reduce is unaffected by the policy, as in
-    /// the runtime.
+    /// `[tokens, h]` partial sums.
     fn exit_region_fwd(&self, e: &mut Emitter) {
         let h = self.cfg.hidden;
         let shape = [self.tokens(), h];
         let payload = (self.tokens() * h) as u64;
-        match self.mode {
-            StaticMode::Serial => {}
-            StaticMode::TensorParallel => {
-                e.collective(
-                    self.group,
-                    CollectiveKind::AllReduce,
-                    "all_reduce",
-                    &shape,
-                    None,
-                    None,
-                    payload,
-                );
-            }
-            StaticMode::TensorSequenceParallel => match self.overlap {
-                OverlapPolicy::Exposed => {
-                    e.collective(
-                        self.group,
-                        CollectiveKind::ReduceScatter,
-                        "reduce_scatter",
-                        &shape,
-                        None,
-                        None,
-                        payload,
-                    );
-                }
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
-                    let shard_rows = self.rows();
-                    for j in 0..chunks {
-                        let (a, b) = chunk_rows(shard_rows, chunks, j);
-                        e.collective(
-                            self.group,
-                            CollectiveKind::ReduceScatter,
-                            "reduce_scatter",
-                            &[self.t * (b - a), h],
-                            None,
-                            Some((j, chunks)),
-                            (self.t * (b - a) * h) as u64,
-                        );
-                    }
-                }
-            },
-        }
+        let (kind, op) = match self.mode {
+            StaticMode::Serial => return,
+            StaticMode::TensorParallel => (CollectiveKind::AllReduce, "all_reduce"),
+            StaticMode::TensorSequenceParallel => (CollectiveKind::ReduceScatter, "reduce_scatter"),
+        };
+        e.collective(self.group, kind, op, &shape, None, payload);
     }
 
     /// `f`/`g` backward: all-reduce (TP) or reduce-scatter (SP).
@@ -331,7 +256,6 @@ impl LayerCtx {
                     "all_reduce",
                     &[hidden],
                     None,
-                    None,
                     hidden as u64,
                 );
             }
@@ -339,36 +263,27 @@ impl LayerCtx {
     }
 }
 
-fn single_layer_ctx(
-    cfg: &TransformerConfig,
-    t: usize,
-    sp: bool,
-    policy: Recompute,
-    overlap: OverlapPolicy,
-) -> LayerCtx {
+fn single_layer_ctx(cfg: &TransformerConfig, t: usize, sp: bool, policy: Recompute) -> LayerCtx {
     cfg.validate(t);
     LayerCtx {
         cfg: *cfg,
         t,
         mode: StaticMode::select(t, sp),
         policy,
-        overlap,
         group: GroupId::Tp { stage: 0 },
     }
 }
 
 /// Program for one layer's forward **and** backward pass on a `t`-wide
 /// tensor-parallel group (no pipeline). The static counterpart of
-/// `TransformerLayer::forward` + `backward` under `World::run(t, …)` with
-/// the given [`OverlapPolicy`] installed on the layer.
+/// `TransformerLayer::forward` + `backward` under `World::run(t, …)`.
 pub fn layer_program(
     cfg: &TransformerConfig,
     t: usize,
     sequence_parallel: bool,
     policy: Recompute,
-    overlap: OverlapPolicy,
 ) -> Program {
-    layer_program_at_epoch(cfg, t, sequence_parallel, policy, overlap, 0)
+    layer_program_at_epoch(cfg, t, sequence_parallel, policy, 0)
 }
 
 /// [`layer_program`] extracted at a non-zero world-formation epoch — the
@@ -382,10 +297,9 @@ pub fn layer_program_at_epoch(
     t: usize,
     sequence_parallel: bool,
     policy: Recompute,
-    overlap: OverlapPolicy,
     epoch: u64,
 ) -> Program {
-    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy, overlap);
+    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy);
     let ranks = (0..t)
         .map(|rank| {
             let mut e = Emitter::at_epoch(epoch);
@@ -405,9 +319,8 @@ pub fn layer_forward_program(
     t: usize,
     sequence_parallel: bool,
     policy: Recompute,
-    overlap: OverlapPolicy,
 ) -> Program {
-    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy, overlap);
+    let ctx = single_layer_ctx(cfg, t, sequence_parallel, policy);
     let ranks = (0..t)
         .map(|rank| {
             let mut e = Emitter::new();
@@ -459,7 +372,6 @@ impl StageCtx {
                     CollectiveKind::AllGather,
                     "all_gather",
                     &[self.layer.rows(), cfg.hidden],
-                    None,
                     None,
                     tokens_h,
                 );
@@ -520,7 +432,6 @@ impl StageCtx {
                 "all_reduce",
                 &[cfg.vocab, cfg.hidden],
                 None,
-                None,
                 table_elems,
             );
             e.collective(
@@ -528,7 +439,6 @@ impl StageCtx {
                 CollectiveKind::AllReduce,
                 "all_reduce",
                 &[cfg.seq, cfg.hidden],
-                None,
                 None,
                 (cfg.seq * cfg.hidden) as u64,
             );
@@ -548,7 +458,6 @@ impl StageCtx {
             "broadcast",
             &[],
             Some(loss_root),
-            None,
             1,
         );
     }
@@ -581,7 +490,6 @@ pub fn pipeline_1f1b_program(
                     policy,
                     // The pipeline executors run layers with the default
                     // (exposed) policy.
-                    overlap: OverlapPolicy::Exposed,
                     group: GroupId::Tp { stage },
                 },
                 layers_here: cfg.layers / pp,
@@ -649,7 +557,6 @@ pub fn interleaved_program(
                     t: tp,
                     mode,
                     policy,
-                    overlap: OverlapPolicy::Exposed,
                     group: GroupId::Tp { stage: device },
                 },
                 layers_here: cfg.layers / vstages,
@@ -703,7 +610,7 @@ mod tests {
     fn tp_layer_is_four_all_reduces() {
         // Section 4.2.1: 4 all-reduces per layer per full pass (2 fwd, 2 bwd).
         let cfg = TransformerConfig::tiny();
-        let p = layer_program(&cfg, 2, false, Recompute::None, OverlapPolicy::Exposed);
+        let p = layer_program(&cfg, 2, false, Recompute::None);
         assert_eq!(count_kinds(&p, 0), vec![(CollectiveKind::AllReduce, 4)]);
     }
 
@@ -712,7 +619,7 @@ mod tests {
         // Pinned by the runtime parallel-equivalence tests: 6 AG + 4 RS +
         // 6 AR (the last six are the small replicated-gradient syncs).
         let cfg = TransformerConfig::tiny();
-        let p = layer_program(&cfg, 2, true, Recompute::None, OverlapPolicy::Exposed);
+        let p = layer_program(&cfg, 2, true, Recompute::None);
         assert_eq!(
             count_kinds(&p, 0),
             vec![
@@ -726,7 +633,7 @@ mod tests {
     #[test]
     fn serial_layer_has_no_collectives() {
         let cfg = TransformerConfig::tiny();
-        let p = layer_program(&cfg, 1, false, Recompute::None, OverlapPolicy::Exposed);
+        let p = layer_program(&cfg, 1, false, Recompute::None);
         assert!(count_kinds(&p, 0).is_empty());
         // Every alloc is freed.
         let allocs =
@@ -738,7 +645,7 @@ mod tests {
     #[test]
     fn full_recompute_replays_forward_collectives_in_backward() {
         let cfg = TransformerConfig::tiny();
-        let p = layer_program(&cfg, 2, false, Recompute::Full, OverlapPolicy::Exposed);
+        let p = layer_program(&cfg, 2, false, Recompute::Full);
         // 2 fwd + (2 replay + 2 bwd) = 6 all-reduces.
         assert_eq!(count_kinds(&p, 0), vec![(CollectiveKind::AllReduce, 6)]);
     }

@@ -46,7 +46,6 @@ pub fn program_comm_stats(program: &Program) -> Vec<CommStats> {
 mod tests {
     use super::*;
     use crate::extract::{layer_forward_program, layer_program};
-    use mt_model::OverlapPolicy;
     use mt_model::TransformerConfig;
 
     /// Section 4.2.2: per layer and rank, the TP forward pass all-reduces
@@ -62,8 +61,8 @@ mod tests {
             mt_memory::Recompute::Selective,
             mt_memory::Recompute::Full,
         ] {
-            let tp = layer_forward_program(&cfg, t, false, policy, OverlapPolicy::Exposed);
-            let sp = layer_forward_program(&cfg, t, true, policy, OverlapPolicy::Exposed);
+            let tp = layer_forward_program(&cfg, t, false, policy);
+            let sp = layer_forward_program(&cfg, t, true, policy);
             for rank in 0..t {
                 let tp_stats = rank_comm_stats(&tp.ranks[rank], &tp);
                 let sp_stats = rank_comm_stats(&sp.ranks[rank], &sp);
@@ -76,37 +75,6 @@ mod tests {
         }
     }
 
-    /// Chunking must not change total traffic: the `chunk_rows` partition
-    /// is exact and every chunk payload carries the group-size factor, so
-    /// the per-chunk ring wire bytes sum to the whole-tensor figure — and
-    /// the Section 4.2.2 equality with TP survives any chunk count,
-    /// including ragged partitions and more chunks than shard rows.
-    #[test]
-    fn chunked_sp_wire_bytes_equal_exposed_and_tp() {
-        let cfg = TransformerConfig::tiny();
-        let t = 2;
-        let policy = mt_memory::Recompute::None;
-        let tp = layer_forward_program(&cfg, t, false, policy, OverlapPolicy::Exposed);
-        let exposed = layer_forward_program(&cfg, t, true, policy, OverlapPolicy::Exposed);
-        for chunks in [1usize, 2, 3, 7] {
-            let sp =
-                layer_forward_program(&cfg, t, true, policy, OverlapPolicy::Overlapped { chunks });
-            for rank in 0..t {
-                let sp_stats = rank_comm_stats(&sp.ranks[rank], &sp);
-                assert_eq!(
-                    sp_stats.total_wire_bytes(),
-                    rank_comm_stats(&tp.ranks[rank], &tp).total_wire_bytes(),
-                    "chunks={chunks} rank {rank} vs TP"
-                );
-                assert_eq!(
-                    sp_stats.total_wire_bytes(),
-                    rank_comm_stats(&exposed.ranks[rank], &exposed).total_wire_bytes(),
-                    "chunks={chunks} rank {rank} vs exposed SP"
-                );
-            }
-        }
-    }
-
     /// The backward pass is *not* byte-identical: SP re-gathers two saved
     /// shards and all-reduces the six replicated small gradients. The static
     /// ledgers must show exactly that excess and nothing else.
@@ -114,8 +82,8 @@ mod tests {
     fn sp_backward_excess_is_the_regathers_plus_small_grads() {
         let cfg = TransformerConfig::tiny();
         let t = 2usize;
-        let tp = layer_program(&cfg, t, false, mt_memory::Recompute::None, OverlapPolicy::Exposed);
-        let sp = layer_program(&cfg, t, true, mt_memory::Recompute::None, OverlapPolicy::Exposed);
+        let tp = layer_program(&cfg, t, false, mt_memory::Recompute::None);
+        let sp = layer_program(&cfg, t, true, mt_memory::Recompute::None);
         let tp_stats = rank_comm_stats(&tp.ranks[0], &tp);
         let sp_stats = rank_comm_stats(&sp.ranks[0], &sp);
         let tokens_h = (cfg.tokens() * cfg.hidden) as u64;

@@ -13,7 +13,7 @@ use mt_analyze::{
     check_schedule, layer_program, layer_program_at_epoch, Program, ScheduleFault, ScheduleOp,
 };
 use mt_memory::Recompute;
-use mt_model::{OverlapPolicy, TransformerConfig};
+use mt_model::TransformerConfig;
 
 fn cfg() -> TransformerConfig {
     TransformerConfig {
@@ -42,36 +42,34 @@ fn at_epoch_zero(mut p: Program) -> Program {
 }
 
 /// The re-formed world's program is the fresh program with every tag's
-/// epoch rewritten — op for op, across degrees, policies, and overlap
-/// shapes a reform can land on.
+/// epoch rewritten — op for op, across the degrees and policies a reform
+/// can land on.
 #[test]
 fn reformed_schedule_is_a_fresh_schedule_with_the_epoch_rewritten() {
     let c = cfg();
     for t in [1usize, 2, 4] {
         for sp in [false, true] {
             for policy in [Recompute::None, Recompute::Selective, Recompute::Full] {
-                for overlap in [OverlapPolicy::Exposed, OverlapPolicy::Overlapped { chunks: 2 }] {
-                    let fresh = layer_program(&c, t, sp, policy, overlap);
-                    let reformed = layer_program_at_epoch(&c, t, sp, policy, overlap, 3);
-                    // Every collective carries the new formation's epoch…
-                    for rank in &reformed.ranks {
-                        for op in &rank.ops {
-                            if let ScheduleOp::Collective { tag, .. } = op {
-                                assert_eq!(
-                                    tag.epoch, 3,
-                                    "t={t} sp={sp}: a reformed op kept a stale epoch"
-                                );
-                            }
+                let fresh = layer_program(&c, t, sp, policy);
+                let reformed = layer_program_at_epoch(&c, t, sp, policy, 3);
+                // Every collective carries the new formation's epoch…
+                for rank in &reformed.ranks {
+                    for op in &rank.ops {
+                        if let ScheduleOp::Collective { tag, .. } = op {
+                            assert_eq!(
+                                tag.epoch, 3,
+                                "t={t} sp={sp}: a reformed op kept a stale epoch"
+                            );
                         }
                     }
-                    // …and removing that coordinate recovers the fresh
-                    // program exactly, op for op.
-                    assert_eq!(
-                        at_epoch_zero(reformed),
-                        fresh,
-                        "t={t} sp={sp} {policy:?} {overlap:?}: reform changed schedule structure"
-                    );
                 }
+                // …and removing that coordinate recovers the fresh program
+                // exactly, op for op.
+                assert_eq!(
+                    at_epoch_zero(reformed),
+                    fresh,
+                    "t={t} sp={sp} {policy:?}: reform changed schedule structure"
+                );
             }
         }
     }
@@ -84,14 +82,7 @@ fn reformed_schedule_is_a_fresh_schedule_with_the_epoch_rewritten() {
 fn reformed_schedule_passes_the_static_matcher() {
     let c = cfg();
     for epoch in [1u64, 2, 7] {
-        let prog = layer_program_at_epoch(
-            &c,
-            2,
-            true,
-            Recompute::Selective,
-            OverlapPolicy::Overlapped { chunks: 2 },
-            epoch,
-        );
+        let prog = layer_program_at_epoch(&c, 2, true, Recompute::Selective, epoch);
         check_schedule(&prog).expect("re-formed schedule is SPMD-consistent");
     }
 }
@@ -103,8 +94,8 @@ fn reformed_schedule_passes_the_static_matcher() {
 #[test]
 fn cross_epoch_straggler_is_a_static_spmd_mismatch() {
     let c = cfg();
-    let new = layer_program_at_epoch(&c, 2, true, Recompute::Selective, OverlapPolicy::Exposed, 2);
-    let old = layer_program_at_epoch(&c, 2, true, Recompute::Selective, OverlapPolicy::Exposed, 1);
+    let new = layer_program_at_epoch(&c, 2, true, Recompute::Selective, 2);
+    let old = layer_program_at_epoch(&c, 2, true, Recompute::Selective, 1);
 
     let mut mixed = new.clone();
     mixed.ranks[1] = old.ranks[1].clone();

@@ -18,10 +18,7 @@ use mt_memory::{ActivationMemoryModel, Recompute, Strategy};
 use mt_model::gpt::Gpt;
 use mt_model::pipeline_exec::{run_1f1b_iteration, StageModel};
 use mt_model::weights::LayerWeights;
-use mt_model::{
-    ActivationLedger, Category, ExecMode, ExecPolicy, OverlapPolicy, TransformerConfig,
-    TransformerLayer,
-};
+use mt_model::{ActivationLedger, Category, ExecMode, TransformerConfig, TransformerLayer};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use proptest::prelude::*;
@@ -36,21 +33,15 @@ fn runtime_layer(
     t: usize,
     sp: bool,
     policy: Recompute,
-    overlap: OverlapPolicy,
 ) -> Vec<(ActivationLedger, CommStats)> {
     let mut rng = SplitMix64::new(7);
     let full = LayerWeights::init(&cfg, &mut rng);
     let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
     if t == 1 {
         let layer = TransformerLayer::new(cfg, full, 0, policy, CounterRng::new(3));
-        let exec = ExecPolicy::builder()
-            .backend(ExecMode::Serial)
-            .overlap(overlap)
-            .build()
-            .expect("valid overlap policy");
         let mut ledger = ActivationLedger::new();
-        let (y, state) = layer.forward(&x, 0, exec, &mut ledger);
-        let _ = layer.backward(&y, state, exec);
+        let (y, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+        let _ = layer.backward(&y, state, ExecMode::Serial);
         vec![(ledger, CommStats::new())]
     } else {
         World::run(t, |comm| {
@@ -66,16 +57,11 @@ fn runtime_layer(
             } else {
                 ExecMode::TensorParallel(&comm)
             };
-            let exec = ExecPolicy::builder()
-                .backend(mode)
-                .overlap(overlap)
-                .build()
-                .expect("valid overlap policy");
             let x_local =
                 if sp { x.chunk_axis0(t).unwrap()[comm.rank()].clone() } else { x.clone() };
             let mut ledger = ActivationLedger::new();
-            let (y, state) = layer.forward(&x_local, 0, exec, &mut ledger);
-            let _ = layer.backward(&y, state, exec);
+            let (y, state) = layer.forward(&x_local, 0, mode, &mut ledger);
+            let _ = layer.backward(&y, state, mode);
             (ledger, comm.stats())
         })
     }
@@ -90,24 +76,10 @@ fn elements(ledger: &ActivationLedger) -> Vec<(Category, u64)> {
 
 /// One config × mode × policy cell of the agreement matrix.
 fn assert_layer_agreement(cfg: TransformerConfig, t: usize, sp: bool, policy: Recompute) {
-    assert_layer_agreement_overlap(cfg, t, sp, policy, OverlapPolicy::Exposed);
-}
-
-/// Same agreement matrix, parameterized over the overlap policy: the
-/// chunked collective sequence the overlapped runtime emits must match the
-/// static program call for call (tags carry the chunk coordinates) and
-/// byte for byte.
-fn assert_layer_agreement_overlap(
-    cfg: TransformerConfig,
-    t: usize,
-    sp: bool,
-    policy: Recompute,
-    overlap: OverlapPolicy,
-) {
-    let what = format!("cfg {cfg:?} t={t} sp={sp} policy={policy:?} overlap={overlap:?}");
-    let prog = layer_program(&cfg, t, sp, policy, overlap);
+    let what = format!("cfg {cfg:?} t={t} sp={sp} policy={policy:?}");
+    let prog = layer_program(&cfg, t, sp, policy);
     assert_eq!(check_schedule(&prog), Ok(()), "{what}: static matching");
-    let runtime = runtime_layer(cfg, t, sp, policy, overlap);
+    let runtime = runtime_layer(cfg, t, sp, policy);
     for (rank, (rt_ledger, rt_stats)) in runtime.iter().enumerate() {
         let report = analyze_rank_liveness(&prog.ranks[rank]).expect("static liveness");
         // Same stored tensors, category by category.
@@ -163,46 +135,17 @@ fn layer_static_matches_runtime_across_the_matrix() {
     }
 }
 
-/// Chunked collectives (PR 5's overlap tentpole) and the recompute-prefetch
-/// policy on top of them: for every chunk count — including ragged
-/// partitions and chunks exceeding the shard rows — the overlapped
-/// runtime's collective ledger matches the static program, and the static
-/// matcher proves the chunked schedule deadlock-free. `OverlappedRecompute`
-/// runs the same matrix: its prefetched replay is collective-free, so the
-/// interleaved backward+recompute schedule must agree with the static
-/// program tag for tag (the split backward halves preserve the collective
-/// order) and leave the liveness proof intact. The TP (non-SP) rows check
-/// that both policies are wire no-ops outside sequence parallelism.
+/// A dropped collective is caught by both detectors. Statically: removing
+/// one rank's final reduce-scatter from the TP+SP forward program leaves
+/// the peer blocked in that round — a [`ScheduleFault::Deadlock`]. At
+/// runtime: a rank that skips its last collective (but stays alive)
+/// strands the peer until its rendezvous deadline fires as
+/// [`CollectiveError::Timeout`].
 #[test]
-fn overlapped_layer_static_matches_runtime_across_chunk_counts() {
+fn dropped_collective_deadlocks_statically_and_times_out_at_runtime() {
     let cfg = TransformerConfig::tiny();
-    for chunks in [1usize, 2, 3, 7] {
-        for overlap in
-            [OverlapPolicy::Overlapped { chunks }, OverlapPolicy::OverlappedRecompute { chunks }]
-        {
-            for policy in POLICIES {
-                assert_layer_agreement_overlap(cfg, 2, true, policy, overlap);
-            }
-            assert_layer_agreement_overlap(cfg, 2, false, Recompute::None, overlap);
-        }
-    }
-}
-
-/// A dropped chunk sub-rendezvous is caught by both detectors. Statically:
-/// removing one rank's final reduce-scatter chunk from the overlapped
-/// program leaves the peer blocked in a round whose tag names the chunk
-/// coordinate — a [`ScheduleFault::Deadlock`]. At runtime: a rank that
-/// skips its last chunk (but stays alive) strands the peer until its
-/// rendezvous deadline fires as [`CollectiveError::Timeout`].
-#[test]
-fn dropped_chunk_deadlocks_statically_and_times_out_at_runtime() {
-    let cfg = TransformerConfig::tiny();
-    let chunks = 4usize;
-    // The recompute-prefetch variant shares the chunked wire schedule, so
-    // the deadlock proof covers it too.
-    let overlap = OverlapPolicy::OverlappedRecompute { chunks };
-    let mut prog = layer_forward_program(&cfg, 2, true, Recompute::None, overlap);
-    assert_eq!(check_schedule(&prog), Ok(()), "intact chunked program is deadlock-free");
+    let mut prog = layer_forward_program(&cfg, 2, true, Recompute::None);
+    assert_eq!(check_schedule(&prog), Ok(()), "intact program is deadlock-free");
     let ops = &mut prog.ranks[1].ops;
     let last = ops
         .iter()
@@ -214,28 +157,27 @@ fn dropped_chunk_deadlocks_statically_and_times_out_at_runtime() {
             assert_eq!(blocked.len(), 1, "only the stranded peer blocks");
             assert_eq!(blocked[0].0, 0);
             assert!(
-                blocked[0].1.contains("chunk=3/4"),
-                "wait description names the chunk: {}",
+                blocked[0].1.contains("reduce_scatter"),
+                "wait description names the round: {}",
                 blocked[0].1
             );
         }
         other => panic!("expected Deadlock, got {other:?}"),
     }
 
-    // Runtime counterpart: rank 1 fires chunks 0..3 then silently skips the
-    // last one, outliving rank 0's deadline so the failure is a Timeout
-    // (not RankDead).
+    // Runtime counterpart: rank 1 gathers once then silently skips the
+    // second gather, outliving rank 0's deadline so the failure is a
+    // Timeout (not RankDead).
     let mut world = World::new(2);
     world.set_collective_timeout(Duration::from_millis(100));
     let results = world.run_fallible(|c| {
         let shard = Tensor::full(&[4, 2], (c.rank() + 1) as f32);
-        for j in 0..chunks {
-            if c.rank() == 1 && j == chunks - 1 {
-                std::thread::sleep(Duration::from_millis(400));
-                return Ok(());
-            }
-            c.try_all_gather_chunk(&shard, j, chunks)?;
+        c.try_all_gather(&shard)?;
+        if c.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(400));
+            return Ok(());
         }
+        c.try_all_gather(&shard)?;
         Ok(())
     });
     assert!(results[1].is_ok(), "the dropping rank itself exits cleanly");
@@ -345,7 +287,7 @@ proptest! {
                         ops: vec![ScheduleOp::Collective {
                             group: GroupId::Tp { stage: 0 },
                             kind: CollectiveKind::AllReduce,
-                            tag: CallTag { op: "all_reduce", shape, root: None, chunk: None, epoch: 0 },
+                            tag: CallTag { op: "all_reduce", shape, root: None, epoch: 0 },
                             payload_elems: elems,
                         }],
                     }

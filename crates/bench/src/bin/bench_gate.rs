@@ -42,11 +42,6 @@
 //! E2e entries are keyed by `(policy, chunks, threads)` and fail
 //! when `step_ms` regresses past `--max-step-slowdown` (default ×1.5 —
 //! end-to-end steps on shared CI runners are noisier than microbenches).
-//! The gate also re-checks the overlap invariants on the *fresh* numbers:
-//! every `overlapped` config with C ≥ 2 must show strictly less exposed
-//! communication time than the `exposed` config, and every
-//! `overlapped_recompute` config strictly less exposed recompute time than
-//! the `exposed` config's inline replay.
 //!
 //! Recovery entries (from `recovery_bench`) are keyed by `scenario` and
 //! fail when `mttr_ms` regresses past `--max-mttr-slowdown` (default ×3.0
@@ -400,74 +395,6 @@ fn main() {
         }
         writeln!(table, "| sync | {key} | {b_ms:.3} ms | {n_ms:.3} ms | ×{ratio:.2} | {verdict} |")
             .unwrap();
-    }
-
-    // Overlap invariant on the fresh run: chunked+overlapped must expose
-    // strictly less communication than the exposed policy.
-    let exposed_ms =
-        fresh.values().find(|r| r["policy"] == "exposed").map(|r| f(r, "exposed_comm_ms"));
-    match exposed_ms {
-        None => failures.push("e2e: fresh run has no exposed config".to_string()),
-        Some(exposed_ms) => {
-            for r in fresh.values() {
-                // `overlapped_recompute` layers the recompute prefetch on
-                // top of the same chunked collectives, so it owes the same
-                // exposed-comm win.
-                let chunked = r["policy"] == "overlapped" || r["policy"] == "overlapped_recompute";
-                if !chunked || r["chunks"].as_u64().unwrap_or(0) < 2 {
-                    continue;
-                }
-                let overlapped_ms = f(r, "exposed_comm_ms");
-                let verdict = if overlapped_ms < exposed_ms { "ok" } else { "FAIL" };
-                if verdict == "FAIL" {
-                    failures.push(format!(
-                        "e2e overlap invariant: overlapped C={} exposes {overlapped_ms:.3} ms, \
-                         not below exposed policy's {exposed_ms:.3} ms",
-                        r["chunks"]
-                    ));
-                }
-                writeln!(
-                    table,
-                    "| e2e overlap | {} C={} exposed comm | {exposed_ms:.3} ms | \
-                     {overlapped_ms:.3} ms | ×{:.2} | {verdict} |",
-                    r["policy"].as_str().unwrap_or("?"),
-                    r["chunks"],
-                    overlapped_ms / exposed_ms
-                )
-                .unwrap();
-            }
-        }
-    }
-
-    // Recompute-overlap invariant on the fresh run: prefetching the replay
-    // under the backward GEMMs must expose strictly less recompute time
-    // than the exposed policy's inline replay.
-    let inline_ms =
-        fresh.values().find(|r| r["policy"] == "exposed").map(|r| f(r, "exposed_recompute_ms"));
-    if let Some(inline_ms) = inline_ms {
-        for r in fresh.values() {
-            if r["policy"] != "overlapped_recompute" {
-                continue;
-            }
-            let prefetched_ms = f(r, "exposed_recompute_ms");
-            let verdict = if prefetched_ms < inline_ms { "ok" } else { "FAIL" };
-            if verdict == "FAIL" {
-                failures.push(format!(
-                    "e2e recompute-overlap invariant: overlapped_recompute C={} exposes \
-                     {prefetched_ms:.3} ms of recompute, not below exposed policy's \
-                     {inline_ms:.3} ms",
-                    r["chunks"]
-                ));
-            }
-            writeln!(
-                table,
-                "| e2e recompute-overlap | C={} exposed recompute | {inline_ms:.3} ms | \
-                 {prefetched_ms:.3} ms | ×{:.2} | {verdict} |",
-                r["chunks"],
-                prefetched_ms / inline_ms
-            )
-            .unwrap();
-        }
     }
 
     // On failure, explain the regression: diff the fresh attribution

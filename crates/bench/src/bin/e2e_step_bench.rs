@@ -1,11 +1,11 @@
-//! End-to-end step benchmark for the communication-overlap tentpole,
-//! written to `reports/BENCH_e2e.json`.
+//! End-to-end step benchmark of one TP+SP transformer layer, written to
+//! `reports/BENCH_e2e.json`.
 //!
 //! ```text
 //! e2e_step_bench [--smoke] [--profile] [--threads N]
 //! ```
 //!
-//! With `--profile`, each config's best rep is traced and profiled with
+//! With `--profile`, the best rep is traced and profiled with
 //! `mt-profile`: the step-time attribution, cross-rank critical path, and
 //! latency histograms land in `reports/PROFILE_e2e.json`, and the run
 //! asserts the three-way identities — profiled span args == `StepTiming`
@@ -16,27 +16,15 @@
 //! recompute) on a 2-rank [`World`] with a simulated interconnect
 //! ([`World::set_link_cost`]: every collective sleeps its α–β ring time,
 //! concurrently on all ranks, exactly as a DMA engine would occupy the
-//! wire) and measures, per policy:
+//! wire) and measures:
 //!
 //! * `step_ms` — best-of-N wall time for the whole step,
-//! * `comm_ms` — time spent inside collectives (hidden or not),
-//! * `exposed_comm_ms` — the portion no dependent compute could cover; the
-//!   quantity the paper's §4.2.2 overlap is meant to shrink,
+//! * `comm_ms` — time spent inside collectives,
+//! * `exposed_comm_ms` — the portion on the critical path (all of it: every
+//!   collective blocks its rank thread),
 //! * `recompute_ms` — time spent replaying checkpointed activations,
 //! * `exposed_recompute_ms` — the replay time serialized into the backward
-//!   (inline replays, or the join wait the covering GEMMs failed to hide).
-//!
-//! Configs: `exposed` (whole-tensor collectives, inline recompute) vs
-//! `overlapped` comm at C = 4 and C = 8 chunks vs `overlapped_recompute`
-//! (chunked comm **plus** the recompute-prefetch driver) at the same chunk
-//! counts. Before timing, the harness asserts all five configs produce
-//! **bit-identical** outputs and input gradients — both overlaps are pure
-//! scheduling changes. The link is sized so compute and communication are
-//! the same order of magnitude; on any machine with a few cores the
-//! overlapped exposed-comm time must come out strictly below the exposed
-//! policy's — and the prefetched exposed-recompute time strictly below the
-//! inline replay's — which `bench_gate` enforces against the checked-in
-//! baseline.
+//!   (all of it: every replay runs inline).
 
 use mt_collectives::cost::CommCostModel;
 use mt_collectives::World;
@@ -44,8 +32,7 @@ use mt_kernels::{set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::weights::LayerWeights;
 use mt_model::{
-    take_step_timing, ActivationLedger, ExecMode, ExecPolicy, OverlapPolicy, StepTiming,
-    TransformerConfig, TransformerLayer,
+    take_step_timing, ActivationLedger, ExecMode, StepTiming, TransformerConfig, TransformerLayer,
 };
 use mt_perf::GpuSpec;
 use mt_profile::{analyze, AnalyzeOptions, ExpectedTiming, ProfileDocument, ProfileReport};
@@ -55,42 +42,26 @@ use mt_trace::{TraceEvent, Tracer};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// v2: adds the `overlapped_recompute` configs and the per-config
-/// `recompute_ms` / `exposed_recompute_ms` columns.
+/// v2: adds the `recompute_ms` / `exposed_recompute_ms` columns.
 const SCHEMA_VERSION: u64 = 2;
 const T: usize = 2;
 
-struct Entry {
-    policy: &'static str,
-    chunks: usize,
-    threads: usize,
-    reps: usize,
-    step_ms: f64,
-    comm_ms: f64,
-    exposed_comm_ms: f64,
-    recompute_ms: f64,
-    exposed_recompute_ms: f64,
-}
-
-/// One measured config: best-of-`reps` step time plus the step ledger of
-/// the best rep (max over ranks — the critical path), and the output bits
-/// for the cross-config identity check.
+/// The measured step: best-of-`reps` step time plus the step ledger of
+/// the best rep (max over ranks — the critical path).
 struct Measured {
     step_ms: f64,
     comm_ms: f64,
     exposed_comm_ms: f64,
     recompute_ms: f64,
     exposed_recompute_ms: f64,
-    bits: Vec<Vec<u32>>,
     /// Per-rank `StepTiming` of the selected rep (for `--profile`).
     timings: Vec<StepTiming>,
     /// Trace of the selected rep; empty unless `--profile`.
     events: Vec<TraceEvent>,
 }
 
-fn run_config(
+fn run_step(
     cfg: TransformerConfig,
-    overlap: OverlapPolicy,
     threads: usize,
     reps: usize,
     link: CommCostModel,
@@ -117,41 +88,32 @@ fn run_config(
                 Recompute::Selective,
                 CounterRng::new(5),
             );
-            let policy = ExecPolicy::builder()
-                .backend(ExecMode::TensorSequenceParallel(&comm))
-                .overlap(overlap)
-                .build()
-                .expect("valid overlap policy");
+            let mode = ExecMode::TensorSequenceParallel(&comm);
             let x_local = x.chunk_axis0(T).unwrap()[comm.rank()].clone();
             let dy_local = dy.chunk_axis0(T).unwrap()[comm.rank()].clone();
             let _ = take_step_timing(); // reset this rank thread's ledger
             let t0 = Instant::now();
             let mut ledger = ActivationLedger::new();
-            let (y, state) = layer.forward(&x_local, 0, policy, &mut ledger);
-            let (dx, _grads) = layer.backward(&dy_local, state, policy);
+            let (_, state) = layer.forward(&x_local, 0, mode, &mut ledger);
+            let _ = layer.backward(&dy_local, state, mode);
             let step_us = t0.elapsed().as_secs_f64() * 1e6;
-            let timing = take_step_timing();
-            let bits: Vec<u32> =
-                y.data().iter().chain(dx.data().iter()).map(|v| v.to_bits()).collect();
-            Ok((step_us, timing, bits))
+            Ok((step_us, take_step_timing()))
         });
         let per_rank: Vec<_> =
             per_rank.into_iter().map(|r| r.expect("bench step failed")).collect();
         let max_ms = |f: &dyn Fn(&StepTiming) -> u64| {
-            per_rank.iter().map(|(_, t, _)| f(t) as f64).fold(0.0, f64::max) / 1e3
+            per_rank.iter().map(|(_, t)| f(t) as f64).fold(0.0, f64::max) / 1e3
         };
-        let step_ms = per_rank.iter().map(|(us, _, _)| *us).fold(0.0, f64::max) / 1e3;
+        let step_ms = per_rank.iter().map(|(us, _)| *us).fold(0.0, f64::max) / 1e3;
         let comm_ms = max_ms(&|t| t.comm_us);
         let exposed_ms = max_ms(&|t| t.exposed_us);
         let recompute_ms = max_ms(&|t| t.recompute_us);
         let exposed_recompute_ms = max_ms(&|t| t.exposed_recompute_us);
-        let timings: Vec<StepTiming> = per_rank.iter().map(|(_, t, _)| *t).collect();
-        let bits: Vec<Vec<u32>> = per_rank.into_iter().map(|(_, _, b)| b).collect();
-        // Select by the gated metric — total exposure (comm + recompute):
-        // the benchmark reports the best exposure the schedule achieved,
-        // not the exposure of the rep that happened to have the fastest
-        // wall clock (scheduler noise on an oversubscribed host makes
-        // those different reps).
+        let timings: Vec<StepTiming> = per_rank.iter().map(|(_, t)| *t).collect();
+        // Select by the gated metric — total exposure (comm + recompute),
+        // not the rep that happened to have the fastest wall clock
+        // (scheduler noise on an oversubscribed host makes those different
+        // reps).
         let exposure = exposed_ms + exposed_recompute_ms;
         if best.as_ref().is_none_or(|b| exposure < b.exposed_comm_ms + b.exposed_recompute_ms) {
             best = Some(Measured {
@@ -160,7 +122,6 @@ fn run_config(
                 exposed_comm_ms: exposed_ms,
                 recompute_ms,
                 exposed_recompute_ms,
-                bits,
                 timings,
                 events: tracer.map(|t| t.events()).unwrap_or_default(),
             });
@@ -174,11 +135,10 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let profile = args.iter().any(|a| a == "--profile");
     // Two kernel workers per rank by default: the harness already runs
-    // `T = 2` rank threads (plus a prefetch helper in the
-    // overlapped_recompute configs), so higher worker counts oversubscribe
-    // small CI hosts badly enough that rendezvous skew — each rank thread
-    // waiting to be rescheduled among the other rank's workers — eats the
-    // overlap win the bench exists to measure.
+    // `T = 2` rank threads, so higher worker counts oversubscribe small CI
+    // hosts badly enough that rendezvous skew — each rank thread waiting
+    // to be rescheduled among the other rank's workers — dominates the
+    // step.
     let mut threads = 2usize;
     if let Some(i) = args.iter().position(|a| a == "--threads") {
         threads = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -205,11 +165,8 @@ fn main() {
 
     let reps = 5usize;
     // Sized so the TP GEMMs that consume each gathered activation run for
-    // ~15–20 ms with the packed SIMD microkernel: the overlap driver can
-    // only hide a chunk fetch behind the bands the previous chunk
-    // unlocked, so the consuming GEMM must dwarf the ~1 ms scheduler
-    // wakeup quantum each extra chunk rendezvous costs on a contended
-    // host, or the chunking overhead eats the win.
+    // ~15–20 ms with the packed SIMD microkernel, the same order as the
+    // link time of the gather that feeds them.
     let cfg = if smoke {
         TransformerConfig {
             hidden: 512,
@@ -234,13 +191,9 @@ fn main() {
         }
     };
     // A deliberately slow link so each gather's wire time is the same
-    // order as the GEMM that consumes it — the regime where overlap
-    // matters and where the exposed-vs-overlapped gap is measurable. The
-    // bandwidth is calibrated to the *current* kernels: when the packed
-    // SIMD microkernel made the GEMMs ~3× faster, the original 8 MB/s
-    // left far more communication than any schedule could hide behind the
-    // remaining compute, so the link scales with the kernels (a 2 MB
-    // gather at 100 MB/s ≈ 20 ms, against ~16–21 ms consuming GEMMs).
+    // order as the GEMM that consumes it (a 2 MB gather at 100 MB/s ≈
+    // 20 ms, against ~16–21 ms consuming GEMMs): communication is a
+    // visible share of the step.
     let link = CommCostModel { alpha_s: 5e-6, beta_bytes_per_s: 100e6 };
 
     println!(
@@ -251,147 +204,79 @@ fn main() {
         link.beta_bytes_per_s,
     );
 
-    let configs: [(&'static str, OverlapPolicy); 5] = [
-        ("exposed", OverlapPolicy::Exposed),
-        ("overlapped", OverlapPolicy::Overlapped { chunks: 4 }),
-        ("overlapped", OverlapPolicy::Overlapped { chunks: 8 }),
-        ("overlapped_recompute", OverlapPolicy::OverlappedRecompute { chunks: 4 }),
-        ("overlapped_recompute", OverlapPolicy::OverlappedRecompute { chunks: 8 }),
-    ];
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut reference_bits: Option<Vec<Vec<u32>>> = None;
+    let m = run_step(cfg, threads, reps, link, profile);
+    println!(
+        "  exposed step {:>9.3} ms  comm {:>9.3} ms  exposed {:>9.3} ms  \
+         recompute {:>9.3} ms  exposed recompute {:>9.3} ms",
+        m.step_ms, m.comm_ms, m.exposed_comm_ms, m.recompute_ms, m.exposed_recompute_ms
+    );
+    let result = serde_json::json!({
+        "policy": "exposed",
+        "chunks": 1,
+        "threads": threads,
+        "reps": reps,
+        "step_ms": m.step_ms,
+        "comm_ms": m.comm_ms,
+        "exposed_comm_ms": m.exposed_comm_ms,
+        "recompute_ms": m.recompute_ms,
+        "exposed_recompute_ms": m.exposed_recompute_ms,
+    });
+
     let mut profiles: BTreeMap<String, ProfileReport> = BTreeMap::new();
-    for (label, overlap) in configs {
-        let m = run_config(cfg, overlap, threads, reps, link, profile);
-        match &reference_bits {
-            None => reference_bits = Some(m.bits.clone()),
-            Some(reference) => assert_eq!(
-                reference,
-                &m.bits,
-                "{label} C={} is not bit-identical to the exposed reference",
-                overlap.chunks()
-            ),
-        }
-        println!(
-            "  {:<20} C={} step {:>9.3} ms  comm {:>9.3} ms  exposed {:>9.3} ms  \
-             recompute {:>9.3} ms  exposed recompute {:>9.3} ms",
-            label,
-            overlap.chunks(),
-            m.step_ms,
-            m.comm_ms,
+    if profile {
+        // Profile the exact rep the benchmark reports: the analysis
+        // enforces attribution==wall, ledger equality, and the
+        // critical-path telescope; on top, assert the three-way identities
+        // — trace span args == StepTiming ledger == the exposed_comm_ms /
+        // exposed_recompute_ms written to BENCH_e2e.json. The kernels run
+        // on this CPU, so the divergence section prices them with the
+        // reference CPU spec.
+        let opts = AnalyzeOptions {
+            label: "exposed".to_string(),
+            link: Some(link),
+            gpu: Some(GpuSpec::reference_cpu()),
+            hidden: cfg.hidden as u64,
+            expected_ledger: m
+                .timings
+                .iter()
+                .enumerate()
+                .map(|(rank, t)| {
+                    (
+                        rank as u32,
+                        ExpectedTiming {
+                            comm_us: t.comm_us,
+                            exposed_us: t.exposed_us,
+                            recompute_us: t.recompute_us,
+                            exposed_recompute_us: t.exposed_recompute_us,
+                        },
+                    )
+                })
+                .collect(),
+        };
+        let report = analyze(&m.events, &opts).expect("profile analysis of the best rep");
+        assert_eq!(
+            report.max_wrapped_exposed_us() as f64 / 1e3,
             m.exposed_comm_ms,
+            "profiled exposed comm must equal the benched exposed_comm_ms"
+        );
+        assert_eq!(
+            report.max_wrapped_comm_us() as f64 / 1e3,
+            m.comm_ms,
+            "profiled total comm must equal the benched comm_ms"
+        );
+        assert_eq!(
+            report.max_wrapped_recompute_us() as f64 / 1e3,
             m.recompute_ms,
-            m.exposed_recompute_ms
+            "profiled recompute must equal the benched recompute_ms"
         );
-        entries.push(Entry {
-            policy: label,
-            chunks: overlap.chunks(),
-            threads,
-            reps,
-            step_ms: m.step_ms,
-            comm_ms: m.comm_ms,
-            exposed_comm_ms: m.exposed_comm_ms,
-            recompute_ms: m.recompute_ms,
-            exposed_recompute_ms: m.exposed_recompute_ms,
-        });
-
-        if profile {
-            // Profile the exact rep the benchmark reports: the analysis
-            // enforces attribution==wall, ledger equality, and the
-            // critical-path telescope; on top, assert the three-way
-            // identities — trace span args == StepTiming ledger == the
-            // exposed_comm_ms / exposed_recompute_ms written to
-            // BENCH_e2e.json.
-            let profile_label = match overlap {
-                OverlapPolicy::Exposed => "exposed".to_string(),
-                OverlapPolicy::Overlapped { chunks } => format!("overlapped_c{chunks}"),
-                OverlapPolicy::OverlappedRecompute { chunks } => {
-                    format!("overlapped_recompute_c{chunks}")
-                }
-            };
-            let opts = AnalyzeOptions {
-                label: profile_label.clone(),
-                link: Some(link),
-                gpu: Some(GpuSpec::a100()),
-                hidden: cfg.hidden as u64,
-                expected_ledger: m
-                    .timings
-                    .iter()
-                    .enumerate()
-                    .map(|(rank, t)| {
-                        (
-                            rank as u32,
-                            ExpectedTiming {
-                                comm_us: t.comm_us,
-                                exposed_us: t.exposed_us,
-                                recompute_us: t.recompute_us,
-                                exposed_recompute_us: t.exposed_recompute_us,
-                            },
-                        )
-                    })
-                    .collect(),
-            };
-            let report = analyze(&m.events, &opts).expect("profile analysis of the best rep");
-            assert_eq!(
-                report.max_wrapped_exposed_us() as f64 / 1e3,
-                m.exposed_comm_ms,
-                "{profile_label}: profiled exposed comm must equal the benched exposed_comm_ms"
-            );
-            assert_eq!(
-                report.max_wrapped_comm_us() as f64 / 1e3,
-                m.comm_ms,
-                "{profile_label}: profiled total comm must equal the benched comm_ms"
-            );
-            assert_eq!(
-                report.max_wrapped_recompute_us() as f64 / 1e3,
-                m.recompute_ms,
-                "{profile_label}: profiled recompute must equal the benched recompute_ms"
-            );
-            assert_eq!(
-                report.max_wrapped_exposed_recompute_us() as f64 / 1e3,
-                m.exposed_recompute_ms,
-                "{profile_label}: profiled exposed recompute must equal the benched \
-                 exposed_recompute_ms"
-            );
-            profiles.insert(profile_label, report);
-        }
+        assert_eq!(
+            report.max_wrapped_exposed_recompute_us() as f64 / 1e3,
+            m.exposed_recompute_ms,
+            "profiled exposed recompute must equal the benched exposed_recompute_ms"
+        );
+        profiles.insert("exposed".to_string(), report);
     }
 
-    // The tentpole's win condition: prefetching the replay under the
-    // backward GEMMs must leave strictly less recompute exposed than
-    // running it inline, config for config.
-    let inline_exposed = entries
-        .iter()
-        .find(|e| e.policy == "exposed")
-        .expect("exposed config present")
-        .exposed_recompute_ms;
-    for e in entries.iter().filter(|e| e.policy == "overlapped_recompute") {
-        assert!(
-            e.exposed_recompute_ms < inline_exposed,
-            "overlapped_recompute C={} exposes {:.3} ms of recompute, not below the inline \
-             replay's {:.3} ms",
-            e.chunks,
-            e.exposed_recompute_ms,
-            inline_exposed
-        );
-    }
-
-    let result_values: Vec<serde_json::Value> = entries
-        .iter()
-        .map(|e| {
-            serde_json::json!({
-                "policy": e.policy,
-                "chunks": e.chunks,
-                "threads": e.threads,
-                "reps": e.reps,
-                "step_ms": e.step_ms,
-                "comm_ms": e.comm_ms,
-                "exposed_comm_ms": e.exposed_comm_ms,
-                "recompute_ms": e.recompute_ms,
-                "exposed_recompute_ms": e.exposed_recompute_ms,
-            })
-        })
-        .collect();
     let doc = serde_json::json!({
         "schema_version": SCHEMA_VERSION,
         "generated_by": "e2e_step_bench",
@@ -404,7 +289,7 @@ fn main() {
         "link_alpha_s": link.alpha_s,
         "link_beta_bytes_per_s": link.beta_bytes_per_s,
         "available_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "results": result_values,
+        "results": [result],
     });
     std::fs::create_dir_all("reports").expect("create reports/");
     std::fs::write(
@@ -412,7 +297,7 @@ fn main() {
         serde_json::to_string_pretty(&doc).expect("serialize"),
     )
     .expect("write reports/BENCH_e2e.json");
-    println!("\nwrote reports/BENCH_e2e.json ({} entries)", entries.len());
+    println!("\nwrote reports/BENCH_e2e.json");
 
     if profile {
         let doc = ProfileDocument::new(profiles);

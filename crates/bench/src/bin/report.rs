@@ -113,8 +113,14 @@ fn main() -> ExitCode {
         use mt_memory::Strategy;
         let est = Estimator::for_paper_model(&ModelZoo::gpt_1t());
         let sim = est.pipeline_sim(Strategy::tp_sp_selective());
-        let (_, events) = sim.trace_1f1b(None);
-        let json = mt_pipeline::chrome_trace_json(&events);
+        let tracer = mt_trace::Tracer::enabled();
+        sim.simulate_1f1b_traced(None, &tracer);
+        let trace = mt_trace::export::chrome_trace(&tracer.events());
+        if let Err(e) = mt_trace::export::validate_chrome_trace(&trace) {
+            eprintln!("1F1B trace failed validation: {e}");
+            return ExitCode::FAILURE;
+        }
+        let json = serde_json::to_string_pretty(&trace).expect("trace serializes");
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;

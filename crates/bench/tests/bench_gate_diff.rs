@@ -38,22 +38,14 @@ fn kernels_doc(best_ms: f64) -> String {
     )
 }
 
-/// One e2e document. The overlap invariants (overlapped exposes less comm
-/// than exposed; overlapped_recompute exposes less recompute than the
-/// inline replay) hold in both, so only the step-time ratio can trip the
-/// gate.
+/// One e2e document with the single exposed entry: only its step-time
+/// ratio can trip the gate.
 fn e2e_doc(exposed_step_ms: f64) -> String {
     format!(
         r#"{{"results": [
             {{"policy": "exposed", "chunks": 1, "threads": 4,
               "step_ms": {exposed_step_ms}, "comm_ms": 50.0, "exposed_comm_ms": 50.0,
-              "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}},
-            {{"policy": "overlapped", "chunks": 2, "threads": 4,
-              "step_ms": 90.0, "comm_ms": 55.0, "exposed_comm_ms": 40.0,
-              "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}},
-            {{"policy": "overlapped_recompute", "chunks": 2, "threads": 4,
-              "step_ms": 85.0, "comm_ms": 55.0, "exposed_comm_ms": 40.0,
-              "recompute_ms": 30.0, "exposed_recompute_ms": 5.0}}
+              "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}}
         ]}}"#
     )
 }

@@ -32,18 +32,12 @@ fn kernels_doc(avail: u64, s512_ms: f64, t512_ms: f64) -> String {
 }
 
 /// Minimal healthy companion documents so only the kernel section can trip
-/// the gate. The e2e doc satisfies both overlap invariants.
+/// the gate.
 fn e2e_doc() -> String {
     r#"{"results": [
         {"policy": "exposed", "chunks": 1, "threads": 4,
          "step_ms": 100.0, "comm_ms": 50.0, "exposed_comm_ms": 50.0,
-         "recompute_ms": 30.0, "exposed_recompute_ms": 30.0},
-        {"policy": "overlapped", "chunks": 2, "threads": 4,
-         "step_ms": 90.0, "comm_ms": 55.0, "exposed_comm_ms": 40.0,
-         "recompute_ms": 30.0, "exposed_recompute_ms": 30.0},
-        {"policy": "overlapped_recompute", "chunks": 2, "threads": 4,
-         "step_ms": 85.0, "comm_ms": 55.0, "exposed_comm_ms": 40.0,
-         "recompute_ms": 30.0, "exposed_recompute_ms": 5.0}
+         "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}
     ]}"#
     .to_string()
 }

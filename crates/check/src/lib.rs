@@ -1,13 +1,13 @@
 //! mt-check: exhaustive small-world model checking for the concurrency
 //! layer.
 //!
-//! Every synchronization primitive the collectives and overlap drivers use
-//! flows through the `mt-sync` facade, which under `RUSTFLAGS="--cfg
+//! Every synchronization primitive the collectives and the kernel worker
+//! pool use flows through the `mt-sync` facade, which under `RUSTFLAGS="--cfg
 //! mt_check"` is a schedulable, virtual-time instrumented implementation
 //! (see `mt_sync::checked`). This crate supplies the *scenarios*: small
-//! worlds (≤ 3 rank threads, 1–3 collectives, 1–2 chunks) that drive the
-//! **actual** rendezvous, chunked-collective, rank-death-wakeup,
-//! epoch-fencing, and overlap/recompute driver code, while the scheduler
+//! worlds (≤ 3 rank threads, 1–3 collectives) that drive the **actual**
+//! rendezvous, rank-death-wakeup, epoch-fencing, and point-to-point code,
+//! while the scheduler
 //! explores every (DPOR-reduced) interleaving and checks:
 //!
 //! - no deadlock (some transition or armed timer always exists),

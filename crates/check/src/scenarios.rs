@@ -1,16 +1,15 @@
 //! The scenario and mutation registries.
 //!
 //! Each scenario is a deterministic closure over **real workspace code**
-//! (the `World` rendezvous, the chunked collectives, `gemm_gathered`,
-//! `recompute_prefetch`) whose every schedule the model checker explores.
+//! (the `World` rendezvous, its timeout, rank-death and epoch-fence paths,
+//! point-to-point channels) whose every schedule the model checker
+//! explores.
 //! Scenario bodies double as oracles: they `assert!` the outcome required
 //! in *every* interleaving, so a schedule that produces the wrong error —
 //! or the wrong data — panics the scenario root and surfaces as a
 //! violation carrying the offending schedule.
 
 use mt_collectives::{CollectiveError, World};
-use mt_kernels::overlap::{gemm_gathered, ChunkSlab, OverlapPlan};
-use mt_kernels::{recompute_prefetch, Backend};
 use mt_sync::{model, ModelOpts, ModelReport};
 use mt_tensor::Tensor;
 use std::time::Duration;
@@ -28,10 +27,8 @@ pub struct Tune {
 }
 
 impl Tune {
-    /// CI smoke budgets: every scenario, no full-DFS ratio pass. The two
-    /// overlap scenarios are capped (they exhaust at ~35k/~80k executions;
-    /// the full run owns the exhaustiveness claim), everything else
-    /// completes well inside the cap.
+    /// CI smoke budgets: every scenario, no full-DFS ratio pass; every
+    /// scenario completes well inside the cap.
     pub fn smoke() -> Self {
         Tune { max_executions: 5_000, full_dfs_cap: 0, mutation: None }
     }
@@ -115,12 +112,12 @@ pub fn all_scenarios() -> Vec<Scenario> {
             body: rendezvous_t3,
         },
         Scenario {
-            name: "chunked_all_gather_t2_c2",
-            about: "2-rank all_gather split into 2 chunk sub-rendezvous",
+            name: "all_gather_t2",
+            about: "2-rank all_gather: shards land in rank order under all schedules",
             spurious_budget: 0,
             expect_quiescent_progress: true,
             requires_timer_fires: false,
-            body: chunked_all_gather_t2_c2,
+            body: all_gather_t2,
         },
         Scenario {
             name: "timeout_abandoned_rendezvous",
@@ -161,30 +158,6 @@ pub fn all_scenarios() -> Vec<Scenario> {
             expect_quiescent_progress: true,
             requires_timer_fires: false,
             body: sendrecv_t2,
-        },
-        Scenario {
-            name: "overlap_fetch_join",
-            about: "gemm_gathered fetch/worker condvar pipeline, 2 chunks, 1 worker",
-            spurious_budget: 0,
-            expect_quiescent_progress: true,
-            requires_timer_fires: false,
-            body: overlap_fetch_join,
-        },
-        Scenario {
-            name: "overlap_spurious_worker",
-            about: "overlap worker wait loop survives an injected spurious wakeup",
-            spurious_budget: 1,
-            expect_quiescent_progress: true,
-            requires_timer_fires: false,
-            body: overlap_fetch_join,
-        },
-        Scenario {
-            name: "recompute_prefetch_join",
-            about: "recompute_prefetch helper-thread handoff and join",
-            spurious_budget: 0,
-            expect_quiescent_progress: true,
-            requires_timer_fires: false,
-            body: recompute_prefetch_join,
         },
     ]
 }
@@ -237,8 +210,8 @@ fn rendezvous_t3() {
     }
 }
 
-fn chunked_all_gather_t2_c2() {
-    let out = World::run(2, |c| c.all_gather_chunked(&Tensor::full(&[2, 1], c.rank() as f32), 2));
+fn all_gather_t2() {
+    let out = World::run(2, |c| c.all_gather(&Tensor::full(&[2, 1], c.rank() as f32)));
     for t in &out {
         assert_eq!(t.data(), &[0.0, 0.0, 1.0, 1.0], "gathered shards in rank order");
     }
@@ -319,38 +292,4 @@ fn sendrecv_t2() {
     });
     assert_eq!(out[0].as_ref().expect("send succeeds"), &0.0);
     assert_eq!(out[1].as_ref().expect("recv succeeds"), &5.0);
-}
-
-fn overlap_fetch_join() {
-    // Two chunks of one row each, k = n = 1: two bands feeding one worker
-    // (threads = 2), so the fetch loop and the worker exercise the ready
-    // queue, the condvar, and the final fetch-thread-joins-compute drain.
-    let plan = OverlapPlan {
-        chunks: vec![
-            vec![ChunkSlab { out_row0: 0, rows: 1 }],
-            vec![ChunkSlab { out_row0: 1, rows: 1 }],
-        ],
-    };
-    let b = vec![2.0f32];
-    let mut out = vec![0.0f32; 2];
-    let report = gemm_gathered(
-        Backend::Threaded { threads: 2 },
-        false,
-        1,
-        1,
-        &plan,
-        &b,
-        &mut out,
-        None,
-        |j| vec![(j + 1) as f32],
-    );
-    assert_eq!(out, vec![2.0, 4.0], "overlapped GEMM must be schedule-independent");
-    assert_eq!(report.bands, 2);
-}
-
-fn recompute_prefetch_join() {
-    let (pre, main_out, report) = recompute_prefetch(|| 6 * 7, || "main");
-    assert_eq!(pre, 42);
-    assert_eq!(main_out, "main");
-    assert!(report.exposed_us <= report.recompute_us, "exposure is a portion of the total");
 }

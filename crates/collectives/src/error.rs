@@ -21,11 +21,6 @@ pub struct CallTag {
     pub shape: Vec<usize>,
     /// Root rank, for rooted collectives (`broadcast`).
     pub root: Option<usize>,
-    /// Sub-rendezvous coordinate `(index, count)` for chunked collectives.
-    /// `None` for whole-tensor rounds. Each chunk of a chunked collective is
-    /// its own rendezvous, so a rank issuing chunk 2 while a peer issues
-    /// chunk 3 of the same op is an SPMD mismatch, not a silent reorder.
-    pub chunk: Option<(usize, usize)>,
     /// World-formation epoch the call belongs to. A fresh world is epoch 0;
     /// every elastic re-formation after a rank death bumps it. A straggler
     /// rank still replaying the old epoch that wanders into a re-formed
@@ -40,9 +35,6 @@ impl fmt::Display for CallTag {
         write!(f, "{}(shape={:?}", self.op, self.shape)?;
         if let Some(root) = self.root {
             write!(f, ", root={root}")?;
-        }
-        if let Some((j, c)) = self.chunk {
-            write!(f, ", chunk={j}/{c}")?;
         }
         if self.epoch != 0 {
             write!(f, ", epoch={}", self.epoch)?;
@@ -154,14 +146,12 @@ mod tests {
                 op: "all_reduce",
                 shape: vec![2, 3],
                 root: None,
-                chunk: None,
                 epoch: 0,
             }),
             found: Box::new(CallTag {
                 op: "broadcast",
                 shape: vec![2, 3],
                 root: Some(0),
-                chunk: None,
                 epoch: 0,
             }),
         };
@@ -173,22 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn display_names_the_chunk_coordinate() {
-        let t = CallTag {
-            op: "all_gather",
-            shape: vec![4, 8],
-            root: None,
-            chunk: Some((1, 4)),
-            epoch: 0,
-        };
-        assert_eq!(t.to_string(), "all_gather(shape=[4, 8], chunk=1/4)");
-    }
-
-    #[test]
     fn display_names_the_epoch_after_a_reform() {
         // Epoch 0 (a never-reformed world) stays out of the rendering so
         // ordinary mismatch messages keep their familiar shape.
-        let t = CallTag { op: "barrier", shape: vec![], root: None, chunk: None, epoch: 2 };
+        let t = CallTag { op: "barrier", shape: vec![], root: None, epoch: 2 };
         assert_eq!(t.to_string(), "barrier(shape=[], epoch=2)");
     }
 }

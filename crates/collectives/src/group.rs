@@ -21,19 +21,6 @@ pub const DEFAULT_COLLECTIVE_TIMEOUT: Duration = Duration::from_secs(60);
 /// waiting out its deadline.
 const RECV_POLL: Duration = Duration::from_millis(10);
 
-/// Row range `[start, end)` of chunk `j` when `rows` rows are split into
-/// `chunks` equal-as-possible contiguous pieces. Ragged row counts are
-/// allowed (chunks may be empty when `chunks > rows`); the ranges are
-/// disjoint, ascending, and cover `0..rows` exactly. The runtime chunked
-/// collectives, the overlapped GEMM driver's plan builder, and the
-/// `mt-analyze` static extractor all use this one partition so the
-/// schedules they describe agree byte for byte.
-pub fn chunk_rows(rows: usize, chunks: usize, j: usize) -> (usize, usize) {
-    assert!(chunks > 0, "chunk_rows: chunk count must be positive");
-    assert!(j < chunks, "chunk_rows: chunk index {j} out of range for {chunks} chunks");
-    (j * rows / chunks, (j + 1) * rows / chunks)
-}
-
 /// Shared rendezvous state for one collective "slot".
 ///
 /// Correctness argument for reuse without generation counters: a rank only
@@ -542,31 +529,6 @@ impl Communicator {
         })
     }
 
-    /// [`Communicator::record_traced`] for one chunk of a chunked
-    /// collective: same ledger entry and span, plus the sub-rendezvous
-    /// coordinate so a trace shows `C` distinct chunk spans instead of one
-    /// opaque whole-tensor span.
-    fn record_traced_chunk(
-        &self,
-        kind: CollectiveKind,
-        payload_elems: u64,
-        chunk: (usize, usize),
-    ) -> SpanGuard {
-        self.stats.borrow_mut().record(kind, payload_elems, self.size as u64);
-        let payload_bytes = payload_elems * FP16_BYTES;
-        let n = self.size as u64;
-        self.tracer.span_args(kind.name(), move || {
-            vec![
-                ("kind", ArgValue::Str(kind.name().to_string())),
-                ("payload_bytes", ArgValue::U64(payload_bytes)),
-                ("wire_bytes", ArgValue::U64(kind.ring_wire_bytes(payload_bytes, n))),
-                ("group_size", ArgValue::U64(n)),
-                ("chunk", ArgValue::U64(chunk.0 as u64)),
-                ("chunks", ArgValue::U64(chunk.1 as u64)),
-            ]
-        })
-    }
-
     /// Sleeps for the simulated ring wire time of one collective, if the
     /// world has a link cost model installed. Called after the rendezvous
     /// succeeds so every rank of the round sleeps concurrently.
@@ -585,14 +547,8 @@ impl Communicator {
     /// site can omit the tag or hand-roll one with a wrong shape or root —
     /// `mt-lint` (rule `hand-rolled-call-tag`) rejects any other `CallTag`
     /// struct literal in collective code.
-    fn call_tag(
-        &self,
-        op: &'static str,
-        shape: &[usize],
-        root: Option<usize>,
-        chunk: Option<(usize, usize)>,
-    ) -> CallTag {
-        CallTag { op, shape: shape.to_vec(), root, chunk, epoch: self.epoch }
+    fn call_tag(&self, op: &'static str, shape: &[usize], root: Option<usize>) -> CallTag {
+        CallTag { op, shape: shape.to_vec(), root, epoch: self.epoch }
     }
 
     /// Consults the world's fault plan before a call. Returns `Err` for an
@@ -650,7 +606,7 @@ impl Communicator {
     pub fn try_all_reduce(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.fault_gate("all_reduce")?;
         let _span = self.record_traced(CollectiveKind::AllReduce, x.numel() as u64);
-        let tag = self.call_tag("all_reduce", x.shape(), None, None);
+        let tag = self.call_tag("all_reduce", x.shape(), None);
         let out =
             self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
                 let mut acc = deposits[0].take().expect("deposit 0 present");
@@ -679,7 +635,7 @@ impl Communicator {
     pub fn try_all_reduce_max(&self, x: &Tensor) -> Result<Tensor, CollectiveError> {
         self.fault_gate("all_reduce_max")?;
         let _span = self.record_traced(CollectiveKind::AllReduce, x.numel() as u64);
-        let tag = self.call_tag("all_reduce_max", x.shape(), None, None);
+        let tag = self.call_tag("all_reduce_max", x.shape(), None);
         let out =
             self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
                 let mut acc = deposits[0].take().expect("deposit 0 present");
@@ -712,7 +668,7 @@ impl Communicator {
         self.fault_gate("all_gather")?;
         let full_elems = (shard.numel() * self.size) as u64;
         let _span = self.record_traced(CollectiveKind::AllGather, full_elems);
-        let tag = self.call_tag("all_gather", shard.shape(), None, None);
+        let tag = self.call_tag("all_gather", shard.shape(), None);
         let out = self.exchange.try_exchange(
             self.rank,
             tag,
@@ -725,95 +681,6 @@ impl Communicator {
                 vec![full; parts.len()]
             },
         )?;
-        self.simulate_link(CollectiveKind::AllGather, full_elems);
-        Ok(out)
-    }
-
-    /// [`Communicator::all_gather`] split into `chunks` sub-rendezvous along
-    /// axis 0 of the shard: chunk `j` gathers rows
-    /// `chunk_rows(shard_rows, chunks, j)` of every rank's shard and the
-    /// results are assembled into the same full tensor `all_gather` returns.
-    /// Total payload, ledger entries, and wire bytes are identical to the
-    /// unchunked call (each of the `C` rounds carries `1/C` of the rows);
-    /// only the rendezvous granularity changes, which is what lets a
-    /// consumer overlap computation with the remaining chunks — see
-    /// [`Communicator::all_gather_chunk`] for the piecewise form.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_all_gather_chunked`] as a panic payload.
-    pub fn all_gather_chunked(&self, shard: &Tensor, chunks: usize) -> Tensor {
-        self.try_all_gather_chunked(shard, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_gather_chunked`].
-    pub fn try_all_gather_chunked(
-        &self,
-        shard: &Tensor,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        let n = self.size;
-        let rows = shard.shape()[0];
-        let row_elems = shard.numel().checked_div(rows).unwrap_or(0);
-        let mut full = vec![0.0f32; shard.numel() * n];
-        for j in 0..chunks {
-            let slab = self.try_all_gather_chunk(shard, j, chunks)?;
-            let (a, b) = chunk_rows(rows, chunks, j);
-            // Rank i's rows of this chunk land at full rows i*rows + a..b.
-            for i in 0..n {
-                let src = &slab.data()[i * (b - a) * row_elems..(i + 1) * (b - a) * row_elems];
-                full[(i * rows + a) * row_elems..(i * rows + b) * row_elems].copy_from_slice(src);
-            }
-        }
-        let mut shape = shard.shape().to_vec();
-        shape[0] = rows * n;
-        Ok(Tensor::from_vec_unchecked(shape, full))
-    }
-
-    /// One sub-rendezvous of a chunked all-gather: gathers rows
-    /// `chunk_rows(shard_rows, chunks, j)` of every rank's shard,
-    /// concatenated in rank order (shape `[n·chunk_rows, ...]`). All ranks
-    /// must issue the chunks of one logical gather in ascending `j` order —
-    /// the chunk coordinate is part of the SPMD call tag, so divergence
-    /// fails with [`CollectiveError::SpmdMismatch`] rather than mis-pairing
-    /// rounds. Used directly by the overlapped GEMM driver, which starts
-    /// consuming chunk `j` while chunk `j+1` is still in flight.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_all_gather_chunk`] as a panic payload.
-    pub fn all_gather_chunk(&self, shard: &Tensor, j: usize, chunks: usize) -> Tensor {
-        self.try_all_gather_chunk(shard, j, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::all_gather_chunk`].
-    pub fn try_all_gather_chunk(
-        &self,
-        shard: &Tensor,
-        j: usize,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("all_gather")?;
-        let rows = shard.shape()[0];
-        let (a, b) = chunk_rows(rows, chunks, j);
-        let row_elems = shard.numel().checked_div(rows).unwrap_or(0);
-        let mut piece_shape = shard.shape().to_vec();
-        piece_shape[0] = b - a;
-        let piece = Tensor::from_vec_unchecked(
-            piece_shape,
-            shard.data()[a * row_elems..b * row_elems].to_vec(),
-        );
-        let full_elems = (piece.numel() * self.size) as u64;
-        let _span = self.record_traced_chunk(CollectiveKind::AllGather, full_elems, (j, chunks));
-        let tag = self.call_tag("all_gather", piece.shape(), None, Some((j, chunks)));
-        let out = self.exchange.try_exchange(self.rank, tag, self.timeout, piece, |deposits| {
-            let parts: Vec<Tensor> =
-                deposits.iter().map(|d| d.as_ref().expect("deposit present").clone()).collect();
-            let slab = Tensor::concat_axis0(&parts);
-            vec![slab; parts.len()]
-        })?;
         self.simulate_link(CollectiveKind::AllGather, full_elems);
         Ok(out)
     }
@@ -835,7 +702,7 @@ impl Communicator {
         self.fault_gate("reduce_scatter")?;
         let _span = self.record_traced(CollectiveKind::ReduceScatter, x.numel() as u64);
         let n = self.size;
-        let tag = self.call_tag("reduce_scatter", x.shape(), None, None);
+        let tag = self.call_tag("reduce_scatter", x.shape(), None);
         let out =
             self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
                 let mut acc = deposits[0].take().expect("deposit 0 present");
@@ -845,94 +712,6 @@ impl Communicator {
                 acc.chunk_axis0(n).expect("reduce_scatter: axis 0 not divisible by group size")
             })?;
         self.simulate_link(CollectiveKind::ReduceScatter, x.numel() as u64);
-        Ok(out)
-    }
-
-    /// [`Communicator::reduce_scatter`] split into `chunks` sub-rendezvous
-    /// along axis 0 of the *result shard*: chunk `j` reduces and scatters
-    /// rows `chunk_rows(shard_rows, chunks, j)` of every destination rank's
-    /// shard, and the pieces are concatenated into the same shard
-    /// `reduce_scatter` returns. Reduction order is the same ascending-rank
-    /// accumulator chain as the unchunked call, so the result is
-    /// bit-identical; payload, ledger entries, and wire bytes also match
-    /// exactly (each round carries `1/C` of the rows).
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_reduce_scatter_chunked`] as a panic payload, or
-    /// panics if axis 0 is not divisible by the group size.
-    pub fn reduce_scatter_chunked(&self, x: &Tensor, chunks: usize) -> Tensor {
-        self.try_reduce_scatter_chunked(x, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_chunked`].
-    pub fn try_reduce_scatter_chunked(
-        &self,
-        x: &Tensor,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        let mut pieces = Vec::with_capacity(chunks);
-        for j in 0..chunks {
-            pieces.push(self.try_reduce_scatter_chunk(x, j, chunks)?);
-        }
-        // Chunks partition the shard's rows in ascending order, so the
-        // shard is just their concatenation.
-        Ok(Tensor::concat_axis0(&pieces))
-    }
-
-    /// One sub-rendezvous of a chunked reduce-scatter: reduces rows
-    /// `chunk_rows(shard_rows, chunks, j)` of every destination's shard and
-    /// hands each rank its piece (shape `[chunk_rows, ...]`). The chunk
-    /// coordinate is part of the SPMD call tag; all ranks must issue chunks
-    /// in ascending `j` order.
-    ///
-    /// # Panics
-    ///
-    /// Raises the [`CollectiveError`] from
-    /// [`Communicator::try_reduce_scatter_chunk`] as a panic payload, or
-    /// panics if axis 0 is not divisible by the group size.
-    pub fn reduce_scatter_chunk(&self, x: &Tensor, j: usize, chunks: usize) -> Tensor {
-        self.try_reduce_scatter_chunk(x, j, chunks).unwrap_or_else(|e| raise(e))
-    }
-
-    /// Fallible [`Communicator::reduce_scatter_chunk`].
-    pub fn try_reduce_scatter_chunk(
-        &self,
-        x: &Tensor,
-        j: usize,
-        chunks: usize,
-    ) -> Result<Tensor, CollectiveError> {
-        self.fault_gate("reduce_scatter")?;
-        let n = self.size;
-        let rows = x.shape()[0];
-        assert!(rows.is_multiple_of(n), "reduce_scatter_chunk: axis 0 not divisible by group size");
-        let shard_rows = rows / n;
-        let (a, b) = chunk_rows(shard_rows, chunks, j);
-        let row_elems = x.numel().checked_div(rows).unwrap_or(0);
-        // This rank's contribution to chunk j: for every destination d, its
-        // rows [a, b) of d's shard — concatenated in destination order.
-        let mut contrib = Vec::with_capacity(n * (b - a) * row_elems);
-        for d in 0..n {
-            let lo = (d * shard_rows + a) * row_elems;
-            let hi = (d * shard_rows + b) * row_elems;
-            contrib.extend_from_slice(&x.data()[lo..hi]);
-        }
-        let mut contrib_shape = x.shape().to_vec();
-        contrib_shape[0] = n * (b - a);
-        let contrib = Tensor::from_vec_unchecked(contrib_shape, contrib);
-        let payload = contrib.numel() as u64;
-        let _span = self.record_traced_chunk(CollectiveKind::ReduceScatter, payload, (j, chunks));
-        let tag = self.call_tag("reduce_scatter", contrib.shape(), None, Some((j, chunks)));
-        let out =
-            self.exchange.try_exchange(self.rank, tag, self.timeout, contrib, |deposits| {
-                let mut acc = deposits[0].take().expect("deposit 0 present");
-                for d in deposits.iter_mut().skip(1) {
-                    acc.add_assign(d.as_ref().expect("deposit present"));
-                }
-                acc.chunk_axis0(n).expect("chunk contribution rows divisible by group size")
-            })?;
-        self.simulate_link(CollectiveKind::ReduceScatter, payload);
         Ok(out)
     }
 
@@ -953,7 +732,7 @@ impl Communicator {
         assert!(root < self.size, "broadcast: root {root} out of range");
         self.fault_gate("broadcast")?;
         let _span = self.record_traced(CollectiveKind::Broadcast, x.numel() as u64);
-        let tag = self.call_tag("broadcast", &[], Some(root), None);
+        let tag = self.call_tag("broadcast", &[], Some(root));
         let out =
             self.exchange.try_exchange(self.rank, tag, self.timeout, x.clone(), |deposits| {
                 let chosen = deposits[root].take().expect("root deposit present");
@@ -977,7 +756,7 @@ impl Communicator {
     pub fn try_barrier(&self) -> Result<(), CollectiveError> {
         self.fault_gate("barrier")?;
         let _span = self.record_traced(CollectiveKind::Barrier, 0);
-        let tag = self.call_tag("barrier", &[], None, None);
+        let tag = self.call_tag("barrier", &[], None);
         self.exchange
             .try_exchange(self.rank, tag, self.timeout, Tensor::zeros(&[0]), |d| {
                 vec![Tensor::zeros(&[0]); d.len()]
@@ -1238,118 +1017,6 @@ mod tests {
         assert_eq!(out[0].0.data(), &[5., 5., 5.]);
         assert_eq!(out[0].1.shape(), &[3]);
         assert_eq!(out[0].2.shape(), &[1, 3]);
-    }
-
-    #[test]
-    fn chunk_rows_partitions_exactly() {
-        for rows in [0usize, 1, 5, 7, 8, 64] {
-            for chunks in [1usize, 2, 3, 4, 7, 11] {
-                let mut covered = 0;
-                for j in 0..chunks {
-                    let (a, b) = chunk_rows(rows, chunks, j);
-                    assert_eq!(a, covered, "rows={rows} chunks={chunks} j={j}");
-                    assert!(b >= a);
-                    covered = b;
-                }
-                assert_eq!(covered, rows);
-            }
-        }
-    }
-
-    #[test]
-    fn all_gather_chunked_matches_all_gather_bitwise() {
-        // Ragged: 7 rows per shard over 3 chunks (3+2+2 is NOT the split;
-        // chunk_rows gives 2+3+2) with 3 ranks.
-        for chunks in [1usize, 2, 3, 7, 9] {
-            let out = World::run(3, |c| {
-                let shard = Tensor::from_fn(&[7, 2], |i| (c.rank() * 100 + i) as f32);
-                (c.all_gather(&shard), c.all_gather_chunked(&shard, chunks))
-            });
-            for (whole, chunked) in &out {
-                assert_eq!(whole.shape(), chunked.shape(), "chunks={chunks}");
-                assert_eq!(whole.data(), chunked.data(), "chunks={chunks}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_chunked_matches_reduce_scatter_bitwise() {
-        for chunks in [1usize, 2, 3, 5] {
-            let out = World::run(2, |c| {
-                // 10 rows → 5-row shards; values vary per rank so the
-                // ascending-rank sum order matters.
-                let x = Tensor::from_fn(&[10, 3], |i| (c.rank() + 1) as f32 * 0.3 + i as f32);
-                (c.reduce_scatter(&x), c.reduce_scatter_chunked(&x, chunks))
-            });
-            for (whole, chunked) in &out {
-                assert_eq!(whole.shape(), chunked.shape(), "chunks={chunks}");
-                let wb: Vec<u32> = whole.data().iter().map(|v| v.to_bits()).collect();
-                let cb: Vec<u32> = chunked.data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(wb, cb, "chunks={chunks}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_collectives_keep_wire_bytes_identical() {
-        let unchunked = World::run(4, |c| {
-            let shard = Tensor::zeros(&[8, 4]);
-            let _ = c.all_gather(&shard);
-            let x = Tensor::zeros(&[32, 4]);
-            let _ = c.reduce_scatter(&x);
-            c.stats()
-        });
-        let chunked = World::run(4, |c| {
-            let shard = Tensor::zeros(&[8, 4]);
-            let _ = c.all_gather_chunked(&shard, 3);
-            let x = Tensor::zeros(&[32, 4]);
-            let _ = c.reduce_scatter_chunked(&x, 3);
-            c.stats()
-        });
-        for (u, c) in unchunked.iter().zip(&chunked) {
-            let kinds = [CollectiveKind::AllGather, CollectiveKind::ReduceScatter];
-            for kind in kinds {
-                assert_eq!(u.kind(kind).payload_bytes, c.kind(kind).payload_bytes, "{kind:?}");
-                assert_eq!(u.kind(kind).wire_bytes, c.kind(kind).wire_bytes, "{kind:?}");
-            }
-            // The chunked run made 3 calls per collective instead of 1.
-            assert_eq!(c.kind(CollectiveKind::AllGather).calls, 3);
-        }
-    }
-
-    #[test]
-    fn chunk_spans_carry_the_chunk_coordinate() {
-        let tracer = Tracer::enabled();
-        World::run_traced(2, &tracer, |c| {
-            let shard = Tensor::zeros(&[4, 2]);
-            c.all_gather_chunked(&shard, 2);
-        });
-        let lane: Vec<_> = tracer.events().into_iter().filter(|e| e.track == 0).collect();
-        assert_eq!(lane.len(), 2, "one span per chunk");
-        for (j, ev) in lane.iter().enumerate() {
-            assert_eq!(ev.name.as_ref(), "all_gather");
-            let chunk = ev.args.iter().find(|(k, _)| *k == "chunk").map(|(_, v)| v.clone());
-            assert_eq!(chunk, Some(ArgValue::U64(j as u64)));
-        }
-    }
-
-    #[test]
-    fn mismatched_chunk_order_is_an_spmd_error() {
-        let mut world = World::new(2);
-        world.set_collective_timeout(Duration::from_secs(5));
-        let out = world.run_fallible(|c| {
-            let shard = Tensor::zeros(&[4, 2]);
-            // Rank 0 starts at chunk 0; rank 1 skips to chunk 1.
-            let j = if c.rank() == 0 { 0 } else { 1 };
-            c.try_all_gather_chunk(&shard, j, 2)?;
-            Ok(())
-        });
-        assert!(
-            out.iter()
-                .any(|r| matches!(r, Err(CollectiveError::SpmdMismatch { expected, found, .. })
-                    if expected.chunk != found.chunk)),
-            "{out:?}"
-        );
     }
 
     #[test]

@@ -28,19 +28,7 @@ fn rendezvous_entry_points() -> Vec<Entry> {
         ("try_all_reduce", |c| c.try_all_reduce(&Tensor::full(&[2], 1.0)).map(|_| ())),
         ("try_all_reduce_max", |c| c.try_all_reduce_max(&Tensor::full(&[2], 1.0)).map(|_| ())),
         ("try_all_gather", |c| c.try_all_gather(&Tensor::full(&[2], 1.0)).map(|_| ())),
-        ("try_all_gather_chunked", |c| {
-            c.try_all_gather_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
-        }),
-        ("try_all_gather_chunk", |c| {
-            c.try_all_gather_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2).map(|_| ())
-        }),
         ("try_reduce_scatter", |c| c.try_reduce_scatter(&Tensor::full(&[2, 2], 1.0)).map(|_| ())),
-        ("try_reduce_scatter_chunked", |c| {
-            c.try_reduce_scatter_chunked(&Tensor::full(&[2, 2], 1.0), 2).map(|_| ())
-        }),
-        ("try_reduce_scatter_chunk", |c| {
-            c.try_reduce_scatter_chunk(&Tensor::full(&[2, 2], 1.0), 0, 2).map(|_| ())
-        }),
         ("try_broadcast", |c| c.try_broadcast(&Tensor::full(&[2], 1.0), 0).map(|_| ())),
         ("try_barrier", |c| c.try_barrier()),
     ]
@@ -96,26 +84,30 @@ fn rendezvous_completes_despite_injected_spurious_wakeups() {
     }
 }
 
-/// Same, through the fallible chunked path (its per-chunk sub-rendezvous
-/// multiplies the wait sites) plus a barrier.
+/// Same, through the fallible path: the sequence-parallel pair (all-gather
+/// then reduce-scatter back to the shard) plus a barrier, three rounds
+/// whose wait sites all see injected wakeups.
 #[test]
-fn chunked_rendezvous_and_barrier_survive_spurious_wakeups() {
+fn fallible_rendezvous_and_barrier_survive_spurious_wakeups() {
     mt_sync::spurious::inject(64);
     let mut world = World::new(2);
     let out = world.run_fallible(|c| {
         let shard = Tensor::full(&[4, 2], (c.rank() + 1) as f32);
-        let gathered = c.try_all_gather_chunked(&shard, 2)?;
+        let gathered = c.try_all_gather(&shard)?;
+        let scattered = c.try_reduce_scatter(&gathered)?;
         c.try_barrier()?;
-        Ok(gathered.data()[0])
+        Ok((gathered.data()[0], scattered.data()[0]))
     });
-    for r in out {
-        assert_eq!(r.expect("spurious wakeups must not fail a healthy round"), 1.0);
+    for (rank, r) in out.into_iter().enumerate() {
+        let (gathered, scattered) = r.expect("spurious wakeups must not fail a healthy round");
+        assert_eq!(gathered, 1.0);
+        assert_eq!(scattered, 2.0 * (rank + 1) as f32);
     }
 }
 
 proptest! {
     /// Call tags differing **only** in epoch never match: the straggler
-    /// fence cannot be defeated by any combination of op/shape/root/chunk.
+    /// fence cannot be defeated by any combination of op/shape/root.
     /// (And with equal epochs the same fields compare equal — the fence
     /// adds no false mismatches.)
     #[test]
@@ -123,22 +115,13 @@ proptest! {
         op_idx in 0usize..4,
         shape in collection::vec(1usize..64, 0usize..3),
         root_raw in 0usize..9,
-        chunk_j in 0usize..4,
-        chunk_c in 0usize..5,
         epoch_a in 0u64..1_000,
         epoch_delta in 1u64..1_000,
     ) {
         let op = ["all_reduce", "all_gather", "reduce_scatter", "broadcast"][op_idx];
-        // The vendored proptest has no option/tuple strategies; derive them.
+        // The vendored proptest has no option strategy; derive it.
         let root = root_raw.checked_sub(1);
-        let chunk = chunk_c.checked_sub(1).map(|c| (chunk_j, c + 1));
-        let tag = |epoch: u64| CallTag {
-            op,
-            shape: shape.clone(),
-            root,
-            chunk,
-            epoch,
-        };
+        let tag = |epoch: u64| CallTag { op, shape: shape.clone(), root, epoch };
         let epoch_b = epoch_a + epoch_delta;
         prop_assert_ne!(tag(epoch_a), tag(epoch_b));
         prop_assert_eq!(tag(epoch_a), tag(epoch_a));

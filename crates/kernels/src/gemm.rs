@@ -50,8 +50,7 @@
 //! one independent chain per output element. Both properties are
 //! independent of the thread count, the SIMD path, and the band
 //! partitioning, which is what makes `Threaded` bit-identical to `Serial`
-//! (see the crate docs) and the overlapped driver in [`crate::overlap`]
-//! bit-identical to the flat kernel.
+//! (see the crate docs).
 //!
 //! ## Threading policy
 //!
@@ -197,7 +196,7 @@ pub fn kind_label(transpose_a: bool, transpose_b: bool) -> &'static str {
 /// Which microkernel instantiation to run. Both compute the identical
 /// per-element float expression; the choice affects throughput only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Simd {
+enum Simd {
     /// Baseline-feature codegen (the portable fallback).
     Scalar,
     /// The `#[target_feature(enable = "avx2")]` instantiation; only
@@ -207,7 +206,7 @@ pub(crate) enum Simd {
 }
 
 /// Runtime-detected SIMD level, resolved once and cached in an atomic.
-pub(crate) fn simd_level() -> Simd {
+fn simd_level() -> Simd {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::atomic::{AtomicU8, Ordering};
@@ -259,8 +258,7 @@ pub fn simd_feature() -> &'static str {
 /// microkernel and discarded on store.
 ///
 /// A `PackedB` is immutable and `Sync`, so one pack is shared read-only by
-/// every row band — both the flat kernel's worker pool and the overlapped
-/// driver's chunk pipeline pack `B` exactly once per GEMM.
+/// every row band of the worker pool: `B` is packed exactly once per GEMM.
 pub struct PackedB {
     data: Vec<f32>,
     k: usize,
@@ -436,12 +434,10 @@ fn band_panel_avx2(
 ///
 /// `row0`/`rows` select op(A) rows (`row0` indexes `a`'s stored rows when
 /// not transposed, stored columns when transposed); `c` is the band's
-/// `rows × n` output window, fully overwritten. This is the single shared
-/// inner path: the flat [`gemm`] and the overlapped driver
-/// ([`crate::overlap::gemm_gathered`]) both run it over the same
-/// [`TILE_M`] bands, which is what keeps them bit-identical.
-#[allow(clippy::too_many_arguments)] // internal band ABI shared with overlap.rs
-pub(crate) fn band_gemm(
+/// `rows × n` output window, fully overwritten. Every [`TILE_M`] band of
+/// [`gemm`] runs through here, whichever worker picks it up.
+#[allow(clippy::too_many_arguments)] // the band's full operand description
+fn band_gemm(
     simd: Simd,
     transpose_a: bool,
     a: &[f32],

@@ -60,12 +60,10 @@
 
 mod backend;
 pub mod gemm;
-pub mod overlap;
 pub mod pool;
 mod rowwise;
 
 pub use backend::{default_backend, set_default_backend, Backend};
-pub use overlap::{recompute_prefetch, RecomputeReport};
 pub use rowwise::{
     gelu, gelu_backward, layer_norm, layer_norm_backward, softmax_rows, softmax_rows_backward,
     CHUNK, ROW_BLOCK,

@@ -12,12 +12,10 @@
 //! are still placed on the activation ledger.
 
 use crate::config::TransformerConfig;
-use crate::layer::{ExecMode, LayerState, TransformerLayer};
+use crate::layer::{ExecMode, TransformerLayer};
 use crate::ledger::{ActivationLedger, Category};
-use crate::policy::ExecPolicy;
 use crate::streams::{element_offset, stream_id, DropoutSite};
 use crate::weights::{EmbeddingWeights, LayerGrads, LayerWeights};
-use mt_kernels::overlap::recompute_prefetch;
 use mt_memory::Recompute;
 use mt_tensor::ops;
 use mt_tensor::rng::{CounterRng, SplitMix64};
@@ -253,31 +251,21 @@ impl Gpt {
     ///
     /// `tokens` and `targets` are `s·b` token ids in the model's s-major row
     /// order (`row = seq_index · b + batch_index`); every rank passes the
-    /// full arrays. Saved activations land on `ledger`.
-    ///
-    /// `policy` accepts anything convertible into an [`ExecPolicy`]; a bare
-    /// [`ExecMode`] inherits each layer's stored recompute/overlap
-    /// defaults. Under [`crate::OverlapPolicy::OverlappedRecompute`] in
-    /// serial mode, a fully-checkpointed layer `k`'s replay is prefetched
-    /// on a helper thread while layer `k+1`'s backward runs (the Chen et
-    /// al. cross-layer hiding) — parallel modes replay inline, because the
-    /// replay issues collectives there and a second thread would race the
-    /// rank's SPMD rendezvous order.
+    /// full arrays. Saved activations land on `ledger`. Each layer runs
+    /// under its own recomputation policy.
     ///
     /// # Panics
     ///
     /// Panics if `tokens`/`targets` lengths differ from `s·b` or the mode's
     /// group size does not divide the configuration.
-    pub fn loss_and_grads<'m>(
+    pub fn loss_and_grads(
         &self,
         tokens: &[usize],
         targets: &[usize],
         micro: u64,
-        policy: impl Into<ExecPolicy<'m>>,
+        mode: ExecMode<'_>,
         ledger: &mut ActivationLedger,
     ) -> (f32, GptGrads) {
-        let policy = policy.into();
-        let mode = &policy.mode();
         let cfg = &self.cfg;
         assert_eq!(tokens.len(), cfg.tokens(), "tokens length must be s*b");
         assert_eq!(targets.len(), cfg.tokens(), "targets length must be s*b");
@@ -309,7 +297,7 @@ impl Gpt {
         // --- forward: layers ---
         let mut states = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
-            let (y, st) = layer.forward(&act, micro, policy, ledger);
+            let (y, st) = layer.forward(&act, micro, mode, ledger);
             states.push(st);
             act = y;
         }
@@ -344,50 +332,13 @@ impl Gpt {
         };
 
         // --- backward: layers ---
-        let mut layer_grads: Vec<Option<LayerGrads>> =
-            (0..self.layers.len()).map(|_| None).collect();
-        let mut states: Vec<Option<LayerState>> = states.into_iter().map(Some).collect();
-        for i in (0..self.layers.len()).rev() {
-            let layer = &self.layers[i];
-            let st = states[i].take().expect("state consumed exactly once");
-            // Hide layer i-1's full-recompute replay under layer i's
-            // backward GEMMs (Chen et al.): legal only in serial mode — the
-            // replay is collective-free there — and only when the layer
-            // below is a checkpoint whose resolved overlap opts in. The
-            // replay is the same pure function the inline path runs, so
-            // gradients stay bit-identical.
-            let prefetch_below = i > 0
-                && matches!(mode, ExecMode::Serial)
-                && policy
-                    .overlap()
-                    .unwrap_or(self.layers[i - 1].overlap_policy())
-                    .recompute_overlapped();
-            let below = if prefetch_below { states[i - 1].take() } else { None };
-            let (dx, lg) = match below {
-                Some(LayerState::Checkpoint { x, micro: below_micro }) => {
-                    let prev = &self.layers[i - 1];
-                    let (replayed, out, report) = recompute_prefetch(
-                        || prev.recompute_stored(&x, below_micro),
-                        || layer.backward(&d_act, st, policy),
-                    );
-                    crate::overlap::add_recompute_time(report.recompute_us, report.exposed_us);
-                    states[i - 1] = Some(LayerState::Stored(replayed));
-                    out
-                }
-                other => {
-                    // Not a checkpoint below (or nothing taken): put the
-                    // state back and run this backward alone.
-                    if let Some(s) = other {
-                        states[i - 1] = Some(s);
-                    }
-                    layer.backward(&d_act, st, policy)
-                }
-            };
-            layer_grads[i] = Some(lg);
+        let mut layer_grads = Vec::with_capacity(self.layers.len());
+        for (layer, st) in self.layers.iter().zip(states).rev() {
+            let (dx, lg) = layer.backward(&d_act, st, mode);
+            layer_grads.push(lg);
             d_act = dx;
         }
-        let layer_grads: Vec<LayerGrads> =
-            layer_grads.into_iter().map(|g| g.expect("gradient computed")).collect();
+        layer_grads.reverse();
 
         // --- backward: embedding ---
         let d_emb = ops::dropout_backward(&d_act, &emb_mask, cfg.dropout_p);
@@ -761,40 +712,6 @@ mod tests {
         ckpt.layer_weights.pop();
         let result = std::panic::catch_unwind(|| Gpt::from_checkpoint(ckpt));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn cross_layer_recompute_prefetch_is_bit_identical() {
-        // Full recomputation with the prefetch policy: layer k's replay runs
-        // on a helper thread under layer k+1's backward. Loss, gradients,
-        // and the activation ledger must all be unchanged; the trace shows
-        // L-1 prefetched replays plus one inline replay (the topmost
-        // backward layer has nothing to hide under).
-        let c = TransformerConfig { dropout_p: 0.1, ..cfg() };
-        let (tokens, targets) = data(&c, 30);
-        let gpt = Gpt::init(c, Recompute::Full, 33);
-        let mut l_inline = ActivationLedger::new();
-        let inline = gpt.loss_and_grads(&tokens, &targets, 0, ExecMode::Serial, &mut l_inline);
-        let policy = ExecPolicy::builder()
-            .overlap(crate::OverlapPolicy::overlapped_recompute(2).expect("chunks >= 1"))
-            .build()
-            .expect("valid policy");
-        let tracer = mt_trace::Tracer::enabled();
-        let mut l_prefetch = ActivationLedger::new();
-        let prefetched = {
-            let _installed = mt_trace::install(tracer.clone());
-            let _ = crate::overlap::take_step_timing();
-            gpt.loss_and_grads(&tokens, &targets, 0, policy, &mut l_prefetch)
-        };
-        let timing = crate::overlap::take_step_timing();
-        assert_eq!(inline.0, prefetched.0, "loss differs under recompute prefetch");
-        assert_eq!(inline.1, prefetched.1, "gradients differ under recompute prefetch");
-        assert_eq!(l_inline, l_prefetch, "ledger differs under recompute prefetch");
-        assert!(timing.recompute_us >= timing.exposed_recompute_us);
-        let events = tracer.events();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-        assert_eq!(count("recompute_overlapped"), c.layers - 1);
-        assert_eq!(count("recompute_layer"), 1, "only the topmost replay stays inline");
     }
 
     #[test]

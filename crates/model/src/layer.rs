@@ -20,17 +20,16 @@ use crate::attention::{
 };
 use crate::config::TransformerConfig;
 use crate::ledger::{ActivationLedger, Category};
-use crate::overlap::{timed_exposed, timed_recompute, OverlapPolicy};
-use crate::policy::ExecPolicy;
 use crate::streams::{element_offset, stream_id, DropoutSite};
+use crate::timing::{timed_exposed, timed_recompute};
 use crate::weights::{LayerGrads, LayerWeights};
-use mt_collectives::{chunk_rows, Communicator};
-use mt_kernels::overlap::{gemm_gathered, recompute_prefetch, ChunkSlab, OverlapPlan};
+use mt_collectives::Communicator;
 use mt_memory::Recompute;
 use mt_tensor::ops;
 use mt_tensor::ops::LayerNormSaved;
 use mt_tensor::rng::CounterRng;
 use mt_tensor::Tensor;
+use std::borrow::Cow;
 
 /// How a layer executes: serially or on one rank of a parallel group.
 #[derive(Clone, Copy)]
@@ -139,7 +138,6 @@ pub struct TransformerLayer {
     weights: LayerWeights,
     layer_idx: usize,
     policy: Recompute,
-    overlap: OverlapPolicy,
     rng: CounterRng,
 }
 
@@ -156,30 +154,7 @@ impl TransformerLayer {
         policy: Recompute,
         rng: CounterRng,
     ) -> Self {
-        TransformerLayer { cfg, weights, layer_idx, policy, overlap: OverlapPolicy::Exposed, rng }
-    }
-
-    /// Adopts an [`ExecPolicy`]'s overrides as this layer's stored defaults:
-    /// a `Some` recompute or overlap half replaces the stored one, `None`
-    /// halves leave it untouched (the policy's execution mode is per-call —
-    /// it borrows a communicator — and is ignored here). All ranks of a
-    /// group must store the same overlap policy; the chunking is part of
-    /// the SPMD protocol. The policy was validated at
-    /// [`ExecPolicy::builder`], so this cannot introduce a zero-chunk
-    /// configuration.
-    pub fn with_exec_policy(mut self, policy: &ExecPolicy<'_>) -> Self {
-        if let Some(recompute) = policy.recompute() {
-            self.policy = recompute;
-        }
-        if let Some(overlap) = policy.overlap() {
-            self.overlap = overlap;
-        }
-        self
-    }
-
-    /// The active overlap policy.
-    pub fn overlap_policy(&self) -> OverlapPolicy {
-        self.overlap
+        TransformerLayer { cfg, weights, layer_idx, policy, rng }
     }
 
     /// The layer's weights (shard-shaped in parallel execution).
@@ -244,126 +219,33 @@ impl TransformerLayer {
         mask
     }
 
-    /// `g` forward / `ḡ` backward fused with its consumer GEMM: gathers the
-    /// sequence shard (identity outside SP) and computes
-    /// `gathered · w` (`transpose_b` selects `A·Bᵀ`). The gathered rows are
-    /// the GEMM's *output* rows, so under [`OverlapPolicy::Overlapped`] the
-    /// chunked gather pipelines into `mt-kernels`' band driver; the exposed
-    /// policy blocks on one whole-tensor all-gather first. Returns the
-    /// product and, when `want_full`, the gathered tensor itself (for
-    /// contraction-side consumers like the weight gradients, which cannot
-    /// be row-decomposed).
-    fn gather_gemm(
-        &self,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-        shard: &Tensor,
-        w: &Tensor,
-        transpose_b: bool,
-        want_full: bool,
-    ) -> (Tensor, Option<Tensor>) {
-        let descriptor = if transpose_b { ops::Gemm::NT } else { ops::Gemm::NN };
-        let comm = match mode {
-            ExecMode::TensorSequenceParallel(c) => c,
-            // f forward / f̄ backward enter the region as the identity.
-            _ => return (descriptor.apply(shard, w), want_full.then(|| shard.clone())),
-        };
-        let chunks = match overlap {
-            OverlapPolicy::Exposed => {
-                let full = timed_exposed(|| comm.all_gather(shard));
-                let out = descriptor.apply(&full, w);
-                return (out, want_full.then_some(full));
+    /// `g` forward / `ḡ` backward, and the backward re-gather of a stored
+    /// LayerNorm-output shard (the paper's extra all-gather): one blocking
+    /// all-gather of the sequence shard under SP. Outside SP the region is
+    /// already replicated (`f` forward / `f̄` backward are the identity),
+    /// so the input is borrowed as is.
+    fn gather<'t>(&self, mode: &ExecMode<'_>, shard: &'t Tensor) -> Cow<'t, Tensor> {
+        match mode {
+            ExecMode::TensorSequenceParallel(c) => {
+                Cow::Owned(timed_exposed(|| c.all_gather(shard)))
             }
-            // Recompute prefetch is collective-free, so its collective
-            // schedule is exactly the comm-overlapped one.
-            OverlapPolicy::Overlapped { chunks }
-            | OverlapPolicy::OverlappedRecompute { chunks } => chunks,
-        };
-        let n = comm.size();
-        let shard_rows = shard.shape()[0];
-        let m = n * shard_rows;
-        let (wn, wk) =
-            if transpose_b { (w.shape()[0], w.shape()[1]) } else { (w.shape()[1], w.shape()[0]) };
-        assert_eq!(shard.shape()[1], wk, "gather_gemm: contraction dims disagree");
-        let mut plan = OverlapPlan::default();
-        for j in 0..chunks {
-            let (a, b) = chunk_rows(shard_rows, chunks, j);
-            plan.chunks.push(
-                (0..n).map(|i| ChunkSlab { out_row0: i * shard_rows + a, rows: b - a }).collect(),
-            );
+            _ => Cow::Borrowed(shard),
         }
-        let mut out = vec![0.0f32; m * wn];
-        let mut full = want_full.then(|| vec![0.0f32; m * wk]);
-        let report = gemm_gathered(
-            mt_kernels::default_backend(),
-            transpose_b,
-            wn,
-            wk,
-            &plan,
-            w.data(),
-            &mut out,
-            full.as_deref_mut(),
-            |j| comm.all_gather_chunk(shard, j, chunks).data().to_vec(),
-        );
-        crate::overlap::add_comm_time(report.comm_us, report.exposed_us);
-        (
-            Tensor::from_vec_unchecked(vec![m, wn], out),
-            full.map(|v| Tensor::from_vec_unchecked(vec![m, wk], v)),
-        )
     }
 
     /// `f̄`/`ḡ` forward and `f`/`g` backward: combine the per-rank partial
-    /// sums onto the LayerNorm/dropout region's layout. The SP
-    /// reduce-scatter is chunked under [`OverlapPolicy::Overlapped`] (same
-    /// wire traffic, and the static extractor mirrors the chunking); it has
-    /// no row-parallel consumer to hide behind, so it stays exposed either
-    /// way.
-    fn combine_region(
-        &self,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-        partial: &Tensor,
-    ) -> Tensor {
+    /// sums onto the LayerNorm/dropout region's layout.
+    fn combine_region(&self, mode: &ExecMode<'_>, partial: Tensor) -> Tensor {
         match mode {
-            ExecMode::Serial => partial.clone(),
-            ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(partial)),
-            ExecMode::TensorSequenceParallel(c) => match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| c.reduce_scatter(partial)),
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| c.reduce_scatter_chunked(partial, chunks))
-                }
-            },
-        }
-    }
-
-    /// The backward re-gather of a stored LayerNorm-output shard (the
-    /// paper's extra all-gather). Its consumer is the contraction side of a
-    /// `TN` weight-gradient GEMM, which cannot start on partial rows, so
-    /// the gather is chunked under [`OverlapPolicy::Overlapped`] but not
-    /// pipelined.
-    fn regather(&self, mode: &ExecMode<'_>, overlap: OverlapPolicy, shard: &Tensor) -> Tensor {
-        match mode {
-            ExecMode::Serial | ExecMode::TensorParallel(_) => shard.clone(),
-            ExecMode::TensorSequenceParallel(c) => match overlap {
-                OverlapPolicy::Exposed => timed_exposed(|| c.all_gather(shard)),
-                OverlapPolicy::Overlapped { chunks }
-                | OverlapPolicy::OverlappedRecompute { chunks } => {
-                    timed_exposed(|| c.all_gather_chunked(shard, chunks))
-                }
-            },
+            ExecMode::Serial => partial,
+            ExecMode::TensorParallel(c) => timed_exposed(|| c.all_reduce(&partial)),
+            ExecMode::TensorSequenceParallel(c) => timed_exposed(|| c.reduce_scatter(&partial)),
         }
     }
 
     /// Full forward pass producing the complete stored state; records
     /// nothing. The policy-aware [`TransformerLayer::forward`] wraps this.
-    fn forward_full(
-        &self,
-        x: &Tensor,
-        micro: u64,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Tensor, StoredState) {
+    fn forward_full(&self, x: &Tensor, micro: u64, mode: &ExecMode<'_>) -> (Tensor, StoredState) {
         let rows = self.local_rows(mode);
         assert_eq!(
             x.shape(),
@@ -373,50 +255,40 @@ impl TransformerLayer {
         );
         let w = &self.weights;
 
-        // Under SP the gathered tensors are not needed again (only the local
-        // shard is kept for backward), so the fused gather-GEMMs can skip
-        // assembling them.
-        let keep_full = !mode.sequence_parallel();
+        // The LayerNorm outputs y1/y2 are stored as held locally: the whole
+        // tensor outside SP, only the shard `Yᵢˢ` under SP (the paper's
+        // trick) — the gathered copy lives for the one GEMM that needs it.
 
         // --- attention half ---
-        let (y_ln1, ln1_saved) = ops::layer_norm(x, &w.ln1_gamma, &w.ln1_beta);
-        // g / f fused with the QKV GEMM.
-        let (qkv_raw, y1_full) =
-            self.gather_gemm(mode, overlap, &y_ln1, &w.w_qkv, false, keep_full);
+        let (y1, ln1_saved) = ops::layer_norm(x, &w.ln1_gamma, &w.ln1_beta);
+        let qkv_raw = ops::Gemm::NN.apply(&self.gather(mode, &y1), &w.w_qkv); // g / f
         let qkv = ops::add_bias(&qkv_raw, &w.b_qkv);
         let blocks = qkv.chunk_last_axis(3).expect("qkv packs 3 blocks");
         let (q, k, v) = (blocks[0].clone(), blocks[1].clone(), blocks[2].clone());
         let ap = self.attn_params(mode, micro);
         let (ctx, attn_saved) = attention_forward(&ap, &self.rng, &q, &k, &v);
         let o_partial = ops::Gemm::NN.apply(&ctx, &w.w_o);
-        let o = ops::add_bias(&self.combine_region(mode, overlap, &o_partial), &w.b_o); // f̄ / ḡ
+        let o = ops::add_bias(&self.combine_region(mode, o_partial), &w.b_o); // f̄ / ḡ
         let mask_attn = self.region_mask(DropoutSite::AttentionOutput, micro, mode, rows);
         let od = ops::dropout(&o, &mask_attn, self.cfg.dropout_p);
         let r1 = ops::residual_add(x, &od);
 
         // --- MLP half ---
-        let (y_ln2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
-        let (m1_raw, y2_full) = self.gather_gemm(mode, overlap, &y_ln2, &w.w1, false, keep_full);
+        let (y2, ln2_saved) = ops::layer_norm(&r1, &w.ln2_gamma, &w.ln2_beta);
+        let m1_raw = ops::Gemm::NN.apply(&self.gather(mode, &y2), &w.w1);
         let m1 = ops::add_bias(&m1_raw, &w.b1);
         let g_act = ops::gelu(&m1);
         let m2_partial = ops::Gemm::NN.apply(&g_act, &w.w2);
-        let m2 = ops::add_bias(&self.combine_region(mode, overlap, &m2_partial), &w.b2);
+        let m2 = ops::add_bias(&self.combine_region(mode, m2_partial), &w.b2);
         let mask_mlp = self.region_mask(DropoutSite::MlpOutput, micro, mode, rows);
         let md = ops::dropout(&m2, &mask_mlp, self.cfg.dropout_p);
         let out = ops::residual_add(&r1, &md);
 
-        // Under SP we keep only the local LayerNorm output shards (the
-        // paper's trick); otherwise y1/y2 *are* the gathered tensors.
-        let (y1_keep, y2_keep) = if mode.sequence_parallel() {
-            (y_ln1, y_ln2)
-        } else {
-            (y1_full.expect("full tensors kept outside SP"), y2_full.expect("full tensors kept"))
-        };
         let state = StoredState {
             micro,
             x: x.clone(),
             ln1_saved,
-            y1: y1_keep,
+            y1,
             q,
             k,
             v,
@@ -424,7 +296,7 @@ impl TransformerLayer {
             ctx,
             r1,
             ln2_saved,
-            y2: y2_keep,
+            y2,
             m1,
             g_act,
         };
@@ -455,38 +327,28 @@ impl TransformerLayer {
         ledger.record(Category::MlpDropoutMask, st.r1.numel() as u64);
     }
 
-    /// Forward pass under the resolved policy. Saved activations are
-    /// recorded in `ledger` (byte-exact, paper accounting).
-    ///
-    /// `policy` accepts anything convertible into an [`ExecPolicy`] — a
-    /// bare [`ExecMode`] (by value or reference) inherits this layer's
-    /// stored recompute/overlap defaults; an explicit policy overrides the
-    /// halves it sets.
-    pub fn forward<'m>(
+    /// Forward pass under this layer's recomputation policy. Saved
+    /// activations are recorded in `ledger` (byte-exact, paper accounting).
+    pub fn forward(
         &self,
         x: &Tensor,
         micro: u64,
-        policy: impl Into<ExecPolicy<'m>>,
+        mode: ExecMode<'_>,
         ledger: &mut ActivationLedger,
     ) -> (Tensor, LayerState) {
-        let policy = policy.into();
-        let mode = policy.mode();
-        let overlap = policy.overlap().unwrap_or(self.overlap);
-        match policy.recompute().unwrap_or(self.policy) {
+        let (out, mut st) = self.forward_full(x, micro, &mode);
+        match self.policy {
             Recompute::Full => {
-                let (out, _discarded) = self.forward_full(x, micro, &mode, overlap);
                 // Only the checkpointed input is stored.
                 ledger.record(Category::LayerNormInput, x.numel() as u64);
-                (out, LayerState::Checkpoint { x: x.clone(), micro })
+                (out, LayerState::Checkpoint { x: st.x, micro })
             }
             Recompute::Selective => {
-                let (out, mut st) = self.forward_full(x, micro, &mode, overlap);
                 st.attn = None; // the Figure 3 red region is dropped
                 self.record_stored(&st, ledger);
                 (out, LayerState::Stored(Box::new(st)))
             }
             Recompute::None => {
-                let (out, st) = self.forward_full(x, micro, &mode, overlap);
                 self.record_stored(&st, ledger);
                 (out, LayerState::Stored(Box::new(st)))
             }
@@ -497,29 +359,13 @@ impl TransformerLayer {
     /// policy dropped) and returns the input gradient and parameter
     /// gradients (shard-shaped in parallel execution, fully reduced so each
     /// rank holds exact gradients for its shard and replicated parameters).
-    ///
-    /// `policy` accepts anything convertible into an [`ExecPolicy`]; under
-    /// [`OverlapPolicy::OverlappedRecompute`] a selectively-dropped
-    /// attention core is replayed on a helper thread while the MLP half of
-    /// this backward pass (which does not depend on it) runs — bit-identical
-    /// to the inline replay, since the replay is a pure function of stored
-    /// Q/K and the counter RNG. Full-layer checkpoints are always replayed
-    /// inline here; the cross-layer prefetch (layer k+1's replay under
-    /// layer k's backward) lives in [`crate::gpt::Gpt`], which can see both
-    /// layers.
-    pub fn backward<'m>(
+    pub fn backward(
         &self,
         dy: &Tensor,
         state: LayerState,
-        policy: impl Into<ExecPolicy<'m>>,
+        mode: ExecMode<'_>,
     ) -> (Tensor, LayerGrads) {
-        let policy = policy.into();
-        let mode = policy.mode();
-        let overlap = policy.overlap().unwrap_or(self.overlap);
         let st = match state {
-            LayerState::Stored(st) if st.attn.is_none() && overlap.recompute_overlapped() => {
-                return self.backward_selective_overlapped(dy, &st, &mode, overlap);
-            }
             LayerState::Stored(mut st) => {
                 if st.attn.is_none() {
                     // Selective recomputation: replay the attention core from
@@ -535,49 +381,11 @@ impl TransformerLayer {
                 // Full recomputation: one extra forward pass (the 30-40%
                 // overhead the paper eliminates).
                 timed_recompute("recompute_layer", || {
-                    Box::new(self.forward_full(&x, micro, &mode, overlap).1)
+                    Box::new(self.forward_full(&x, micro, &mode).1)
                 })
             }
         };
-        self.backward_stored(dy, &st, &mode, overlap)
-    }
-
-    /// Replays a checkpointed input into a full stored state. This is the
-    /// collective-free building block [`crate::gpt::Gpt`] prefetches on a
-    /// helper thread while the previous layer's backward runs: it forces
-    /// serial mode (a parallel replay would issue collectives, and a
-    /// second thread racing the rank's rendezvous sequence would break the
-    /// SPMD tag order), and it does no ledger or span bookkeeping of its
-    /// own — the prefetch driver's `recompute_overlapped` span and the
-    /// caller's `add_recompute_time` cover it.
-    pub(crate) fn recompute_stored(&self, x: &Tensor, micro: u64) -> Box<StoredState> {
-        Box::new(self.forward_full(x, micro, &ExecMode::Serial, OverlapPolicy::Exposed).1)
-    }
-
-    /// Selective backward with the attention replay prefetched: the helper
-    /// thread recomputes the Figure 3 red region (pure compute — no
-    /// collectives, so legal in every [`ExecMode`]) while the calling rank
-    /// thread runs the MLP half of the backward pass, which depends only on
-    /// the stored MLP tensors. The join lands exactly where the inline
-    /// replay used to run — before the attention half needs `attn` — so the
-    /// dataflow, and therefore every bit of every gradient, is unchanged.
-    fn backward_selective_overlapped(
-        &self,
-        dy: &Tensor,
-        st: &StoredState,
-        mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
-    ) -> (Tensor, LayerGrads) {
-        let mut grads = self.weights.zeros_like();
-        let ap = self.attn_params(mode, st.micro);
-        let (attn, d_r1, report) = recompute_prefetch(
-            || attention_recompute(&ap, &self.rng, &st.q, &st.k),
-            || self.backward_mlp_half(dy, st, mode, overlap, &mut grads),
-        );
-        crate::overlap::add_recompute_time(report.recompute_us, report.exposed_us);
-        let d_x = self.backward_attn_half(&d_r1, st, &attn, mode, overlap, &mut grads);
-        self.reduce_replicated_grads(mode, &mut grads);
-        (d_x, grads)
+        self.backward_stored(dy, &st, &mode)
     }
 
     fn backward_stored(
@@ -585,27 +393,23 @@ impl TransformerLayer {
         dy: &Tensor,
         st: &StoredState,
         mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
     ) -> (Tensor, LayerGrads) {
         let mut grads = self.weights.zeros_like();
-        let d_r1 = self.backward_mlp_half(dy, st, mode, overlap, &mut grads);
-        let attn = st.attn.as_ref().expect("attention state present after recompute");
-        let d_x = self.backward_attn_half(&d_r1, st, attn, mode, overlap, &mut grads);
+        let d_r1 = self.backward_mlp_half(dy, st, mode, &mut grads);
+        let d_x = self.backward_attn_half(&d_r1, st, mode, &mut grads);
         self.reduce_replicated_grads(mode, &mut grads);
         (d_x, grads)
     }
 
-    /// The MLP half of the backward pass: everything from the layer output
-    /// gradient down to `d_r1`, the gradient at the second LayerNorm's
-    /// input. Reads only the MLP-side stored tensors (`g_act`, `m1`, `y2`,
-    /// `r1`, `ln2_saved`) — never `attn` — which is what makes it the legal
-    /// covering work for the prefetched attention replay.
+    /// The MLP half of the backward pass: from the layer output gradient
+    /// down to `d_r1`, the gradient at the second LayerNorm's input. A
+    /// function of its own so its `[s·b, 4h/t]` temporaries are freed
+    /// before the attention half allocates its score gradients.
     fn backward_mlp_half(
         &self,
         dy: &Tensor,
         st: &StoredState,
         mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
         grads: &mut LayerGrads,
     ) -> Tensor {
         let rows = self.local_rows(mode);
@@ -621,20 +425,21 @@ impl TransformerLayer {
         let mask_mlp = self.region_mask(DropoutSite::MlpOutput, st.micro, mode, rows);
         let d_m2 = ops::dropout_backward(dy, &mask_mlp, self.cfg.dropout_p);
         grads.b2 = ops::bias_grad(&d_m2);
-        // ḡ backward (all-gather; f̄ backward: identity) fused with the
-        // d_g GEMM; the assembled gradient also feeds the w2 gradient.
+        // ḡ backward (all-gather; f̄ backward: identity); the assembled
+        // gradient feeds both the d_g GEMM and the w2 gradient.
         // m2_partial = g_act · w2
-        let (d_g, d_m2_full) = self.gather_gemm(mode, overlap, &d_m2, &w.w2, true, true);
-        grads.w2 = ops::Gemm::TN.apply(&st.g_act, &d_m2_full.expect("full grad requested"));
+        let d_m2_full = self.gather(mode, &d_m2);
+        let d_g = ops::Gemm::NT.apply(&d_m2_full, &w.w2);
+        grads.w2 = ops::Gemm::TN.apply(&st.g_act, &d_m2_full);
+        drop(d_m2_full);
         let d_m1 = ops::gelu_backward(&st.m1, &d_g);
         grads.b1 = ops::bias_grad(&d_m1);
         // m1 = y2_full · w1. Under SP, y2 was kept as a shard: re-gather
         // (the extra all-gather the paper overlaps with the dW computation).
-        let y2_full = self.regather(mode, overlap, &st.y2);
-        grads.w1 = ops::Gemm::TN.apply(&y2_full, &d_m1);
+        grads.w1 = ops::Gemm::TN.apply(&self.gather(mode, &st.y2), &d_m1);
         let d_y2_full = ops::Gemm::NT.apply(&d_m1, &w.w1);
         // g backward: reduce-scatter; f backward: all-reduce.
-        let d_y_ln2 = self.combine_region(mode, overlap, &d_y2_full);
+        let d_y_ln2 = self.combine_region(mode, d_y2_full);
         let (d_r1_ln, d_ln2_gamma, d_ln2_beta) =
             ops::layer_norm_backward(&st.r1, &w.ln2_gamma, &st.ln2_saved, &d_y_ln2);
         grads.ln2_gamma = d_ln2_gamma;
@@ -643,15 +448,12 @@ impl TransformerLayer {
     }
 
     /// The attention half of the backward pass: from `d_r1` down to the
-    /// layer-input gradient. The only consumer of the (possibly replayed)
-    /// attention core state.
+    /// layer-input gradient.
     fn backward_attn_half(
         &self,
         d_r1: &Tensor,
         st: &StoredState,
-        attn: &AttnSaved,
         mode: &ExecMode<'_>,
-        overlap: OverlapPolicy,
         grads: &mut LayerGrads,
     ) -> Tensor {
         let rows = self.local_rows(mode);
@@ -662,17 +464,19 @@ impl TransformerLayer {
         let d_o = ops::dropout_backward(d_r1, &mask_attn, self.cfg.dropout_p);
         grads.b_o = ops::bias_grad(&d_o);
         // o_partial = ctx · w_o
-        let (d_ctx, d_o_full) = self.gather_gemm(mode, overlap, &d_o, &w.w_o, true, true);
-        grads.w_o = ops::Gemm::TN.apply(&st.ctx, &d_o_full.expect("full grad requested"));
+        let d_o_full = self.gather(mode, &d_o);
+        let d_ctx = ops::Gemm::NT.apply(&d_o_full, &w.w_o);
+        grads.w_o = ops::Gemm::TN.apply(&st.ctx, &d_o_full);
+        drop(d_o_full);
         // attention core
+        let attn = st.attn.as_ref().expect("attention state present after recompute");
         let ap = self.attn_params(mode, st.micro);
         let (d_q, d_k, d_v) = attention_backward(&ap, &self.rng, &st.q, &st.k, &st.v, attn, &d_ctx);
         let d_qkv = Tensor::concat_last_axis(&[d_q, d_k, d_v]);
         grads.b_qkv = ops::bias_grad(&d_qkv);
-        let y1_full = self.regather(mode, overlap, &st.y1);
-        grads.w_qkv = ops::Gemm::TN.apply(&y1_full, &d_qkv);
+        grads.w_qkv = ops::Gemm::TN.apply(&self.gather(mode, &st.y1), &d_qkv);
         let d_y1_full = ops::Gemm::NT.apply(&d_qkv, &w.w_qkv);
-        let d_y_ln1 = self.combine_region(mode, overlap, &d_y1_full);
+        let d_y_ln1 = self.combine_region(mode, d_y1_full);
         let (d_x_ln, d_ln1_gamma, d_ln1_beta) =
             ops::layer_norm_backward(&st.x, &w.ln1_gamma, &st.ln1_saved, &d_y_ln1);
         grads.ln1_gamma = d_ln1_gamma;
@@ -847,86 +651,6 @@ mod tests {
             loss_with(w)
         });
         assert!(mt_tensor::check::grads_close(&grads.b_o, &fd_bo), "b_o");
-    }
-
-    #[test]
-    fn overlapped_selective_backward_is_bit_identical_and_prefetches() {
-        // The prefetched attention replay must be numerically invisible and
-        // actually run through the prefetch driver (one recompute_overlapped
-        // span, no inline recompute_attention span).
-        let x = rand_input(&cfg(), 10);
-        let dy = rand_input(&cfg(), 11);
-        let exposed = make_layer(Recompute::Selective, 0.1);
-        let mut ledger = ActivationLedger::new();
-        let (y0, st0) = exposed.forward(&x, 0, ExecMode::Serial, &mut ledger);
-        let (dx0, g0) = exposed.backward(&dy, st0, ExecMode::Serial);
-
-        let policy = ExecPolicy::builder()
-            .overlap(OverlapPolicy::overlapped_recompute(1).expect("chunks >= 1"))
-            .build()
-            .expect("valid policy");
-        let layer = make_layer(Recompute::Selective, 0.1).with_exec_policy(&policy);
-        let _ = crate::overlap::take_step_timing();
-        let tracer = mt_trace::Tracer::enabled();
-        let (y1, dx1, g1) = {
-            let _installed = mt_trace::install(tracer.clone());
-            let mut ledger = ActivationLedger::new();
-            let (y1, st1) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
-            let (dx1, g1) = layer.backward(&dy, st1, ExecMode::Serial);
-            (y1, dx1, g1)
-        };
-        let timing = crate::overlap::take_step_timing();
-        assert_eq!(y0, y1, "outputs differ under recompute prefetch");
-        assert_eq!(dx0, dx1, "input grads differ under recompute prefetch");
-        assert_eq!(g0, g1, "weight grads differ under recompute prefetch");
-        assert!(timing.recompute_us >= timing.exposed_recompute_us, "exposed exceeds total");
-        let events = tracer.events();
-        let count = |name: &str| events.iter().filter(|e| e.name == name).count();
-        assert_eq!(count("recompute_overlapped"), 1);
-        assert_eq!(count("recompute_wait"), 1);
-        assert_eq!(count("recompute_attention"), 0, "inline replay ran despite prefetch policy");
-    }
-
-    #[test]
-    fn per_call_policy_overrides_stored_defaults() {
-        // A layer built store-all, driven by a policy forcing Selective +
-        // OverlappedRecompute, must behave exactly like a layer built that
-        // way — the state drops the attention core and the replay is
-        // prefetched.
-        let x = rand_input(&cfg(), 12);
-        let dy = rand_input(&cfg(), 13);
-        let policy = ExecPolicy::builder()
-            .recompute(Recompute::Selective)
-            .overlap(OverlapPolicy::overlapped_recompute(1).expect("chunks >= 1"))
-            .build()
-            .expect("valid policy");
-        let stock = make_layer(Recompute::None, 0.1);
-        let mut ledger = ActivationLedger::new();
-        let (y, st) = stock.forward(&x, 0, policy, &mut ledger);
-        assert!(
-            matches!(&st, LayerState::Stored(s) if s.attn.is_none()),
-            "recompute override ignored"
-        );
-        let (dx, g) = stock.backward(&dy, st, policy);
-
-        let reference = make_layer(Recompute::Selective, 0.1);
-        let mut ledger = ActivationLedger::new();
-        let (y0, st0) = reference.forward(&x, 0, ExecMode::Serial, &mut ledger);
-        let (dx0, g0) = reference.backward(&dy, st0, ExecMode::Serial);
-        assert_eq!(y, y0);
-        assert_eq!(dx, dx0);
-        assert_eq!(g, g0);
-    }
-
-    #[test]
-    fn with_exec_policy_adopts_only_set_halves() {
-        let policy = ExecPolicy::builder()
-            .overlap(OverlapPolicy::overlapped_recompute(3).expect("chunks >= 1"))
-            .build()
-            .expect("valid policy");
-        let layer = make_layer(Recompute::Selective, 0.0).with_exec_policy(&policy);
-        assert_eq!(layer.policy(), Recompute::Selective, "unset half must not change");
-        assert_eq!(layer.overlap_policy(), OverlapPolicy::OverlappedRecompute { chunks: 3 });
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!
 //! let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
 //! let mut ledger = ActivationLedger::new();
-//! let (y, state) = layer.forward(&x, 0, &ExecMode::Serial, &mut ledger);
-//! let (dx, grads) = layer.backward(&y, state, &ExecMode::Serial);
+//! let (y, state) = layer.forward(&x, 0, ExecMode::Serial, &mut ledger);
+//! let (dx, grads) = layer.backward(&y, state, ExecMode::Serial);
 //! assert_eq!(dx.shape(), x.shape());
 //! assert_eq!(grads.w_qkv.shape(), &[cfg.hidden, 3 * cfg.hidden]);
 //! ```
@@ -52,11 +52,10 @@ pub mod gpt;
 mod layer;
 mod ledger;
 pub mod optim;
-mod overlap;
 pub mod pipeline_exec;
-mod policy;
 pub mod recovery;
 pub mod streams;
+mod timing;
 pub mod trainer;
 pub mod vocab_parallel;
 pub mod weights;
@@ -65,5 +64,4 @@ pub mod zero;
 pub use config::TransformerConfig;
 pub use layer::{ExecMode, LayerState, StoredState, TransformerLayer};
 pub use ledger::{ActivationLedger, Category};
-pub use overlap::{take_step_timing, CommTiming, OverlapPolicy, StepTiming, ZeroChunks};
-pub use policy::{ExecPolicy, ExecPolicyBuilder, PolicyError};
+pub use timing::{take_step_timing, StepTiming};

@@ -4,10 +4,10 @@
 //! so examples and downstream users don't re-implement the loop.
 
 use crate::gpt::{Gpt, GptCheckpoint};
+use crate::layer::ExecMode;
 use crate::ledger::ActivationLedger;
 use crate::optim::{clip_grad_norm, clip_grad_norm_tp, AdamState, AdamW};
-use crate::overlap::{take_step_timing, StepTiming};
-use crate::policy::ExecPolicy;
+use crate::timing::{take_step_timing, StepTiming};
 use mt_fault::binfmt;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -295,24 +295,14 @@ impl Trainer {
     }
 
     /// Runs one training step (forward, backward, clip, update) on one
-    /// microbatch under `policy`.
-    ///
-    /// `policy` is anything convertible into an [`ExecPolicy`]: a bare
-    /// [`ExecMode`](crate::ExecMode) by value or by reference (inheriting
-    /// each layer's stored recompute/overlap defaults), or an explicit
-    /// policy, also by value or by reference.
+    /// microbatch in `mode`.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as
     /// [`Gpt::loss_and_grads`](crate::gpt::Gpt::loss_and_grads).
-    pub fn step<'m>(
-        &mut self,
-        tokens: &[usize],
-        targets: &[usize],
-        policy: impl Into<ExecPolicy<'m>>,
-    ) -> StepStats {
-        self.step_with_ledger(tokens, targets, policy).0
+    pub fn step(&mut self, tokens: &[usize], targets: &[usize], mode: ExecMode<'_>) -> StepStats {
+        self.step_with_ledger(tokens, targets, mode).0
     }
 
     /// [`Trainer::step`], also returning the activation ledger the forward
@@ -324,27 +314,25 @@ impl Trainer {
     /// exit, so a step's ledger cannot absorb a previous step's leftovers
     /// when rank threads are reused — the leak an unbracketed thread-local
     /// harvest would allow.
-    pub fn step_with_ledger<'m>(
+    pub fn step_with_ledger(
         &mut self,
         tokens: &[usize],
         targets: &[usize],
-        policy: impl Into<ExecPolicy<'m>>,
+        mode: ExecMode<'_>,
     ) -> (StepStats, ActivationLedger, StepTiming) {
-        let policy = policy.into();
         let _stale = take_step_timing();
         let tracer = mt_trace::current();
         let step_no = self.step;
         let _step_span =
             tracer.span_args("step", move || vec![("step", mt_trace::ArgValue::U64(step_no))]);
         let mut ledger = ActivationLedger::new();
-        let comm = policy.mode().comm();
         let (loss, mut grads) =
-            self.gpt.loss_and_grads(tokens, targets, self.step, policy, &mut ledger);
+            self.gpt.loss_and_grads(tokens, targets, self.step, mode, &mut ledger);
         let opt_span = tracer.span("optimizer");
         // Under tensor parallelism the clip must use the *global* norm:
         // a per-rank local norm would scale replicated gradients by
         // rank-dependent factors and desynchronize replicated parameters.
-        let grad_norm = match (self.cfg.clip_norm, comm) {
+        let grad_norm = match (self.cfg.clip_norm, mode.comm()) {
             (Some(max), None) => clip_grad_norm(grads.tensors_mut(), max),
             (Some(max), Some(c)) => {
                 let (replicated, sharded) = grads.tensors_mut_by_locality();
@@ -366,7 +354,6 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::config::TransformerConfig;
-    use crate::layer::ExecMode;
     use mt_memory::Recompute;
     use mt_tensor::rng::SplitMix64;
 
@@ -443,48 +430,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_borrows_for_generic_args)] // the by-reference call is the point
-    fn step_accepts_mode_by_value_and_by_reference() {
-        let c = cfg();
-        let mut a = Trainer::new(Gpt::init(c, Recompute::None, 5), TrainerConfig::default());
-        let mut b = a.clone();
-        let (tokens, targets) = data(&c);
-        let by_val = a.step(&tokens, &targets, ExecMode::Serial);
-        let by_ref = b.step(&tokens, &targets, &ExecMode::Serial);
-        assert_eq!(by_val.loss, by_ref.loss);
-    }
-
-    #[test]
     fn step_with_ledger_drains_stale_timing() {
-        use crate::layer::ExecMode;
         let c = cfg();
         let mut t = Trainer::new(Gpt::init(c, Recompute::Full, 81), TrainerConfig::default());
         let (tokens, targets) = data(&c);
         // Poison the thread-local with a previous "step's" leftovers; the
         // entry drain must keep them out of this step's ledger.
-        crate::overlap::add_comm_time(1_000_000, 1_000_000);
-        crate::overlap::add_recompute_time(1_000_000, 500_000);
+        crate::timing::add_comm_time(1_000_000);
+        crate::timing::add_recompute_time(1_000_000);
         let (_, _, timing) = t.step_with_ledger(&tokens, &targets, ExecMode::Serial);
         assert_eq!(timing.comm_us, 0, "serial steps book no collectives");
         assert_eq!(timing.exposed_us, 0);
         assert!(timing.recompute_us < 1_000_000, "stale recompute time leaked in");
-        assert!(timing.recompute_us >= timing.exposed_recompute_us);
+        assert_eq!(timing.recompute_us, timing.exposed_recompute_us, "replays run inline");
         // The harvest also reset the accumulators for whoever runs next.
-        assert_eq!(crate::overlap::take_step_timing(), crate::overlap::StepTiming::default());
-    }
-
-    #[test]
-    fn step_accepts_policies_by_value_and_by_reference() {
-        use crate::layer::ExecMode;
-        use crate::policy::ExecPolicy;
-        let c = cfg();
-        let mut a = Trainer::new(Gpt::init(c, Recompute::Selective, 6), TrainerConfig::default());
-        let mut b = a.clone();
-        let policy = ExecPolicy::builder().backend(ExecMode::Serial).build().expect("valid");
-        let (tokens, targets) = data(&c);
-        let by_val = a.step(&tokens, &targets, policy);
-        let by_ref = b.step(&tokens, &targets, policy);
-        assert_eq!(by_val.loss, by_ref.loss);
+        assert_eq!(take_step_timing(), StepTiming::default());
     }
 
     #[test]

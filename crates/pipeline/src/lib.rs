@@ -120,40 +120,6 @@ pub struct TraceEvent {
     pub end_ms: f64,
 }
 
-/// Serializes trace events in the Chrome tracing (`chrome://tracing`,
-/// Perfetto) JSON array format — one row per pipeline stage, forward and
-/// backward steps as duration events. The result is exactly the kind of
-/// visualization the paper's Figure 10 sketches.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut entries = Vec::with_capacity(events.len());
-    for e in events {
-        let name = if e.forward {
-            format!("F{}", e.micro)
-        } else if e.recomputed {
-            format!("R+B{}", e.micro)
-        } else {
-            format!("B{}", e.micro)
-        };
-        let phase = if e.forward {
-            "forward"
-        } else if e.recomputed {
-            "backward+recompute"
-        } else {
-            "backward"
-        };
-        entries.push(serde_json::json!({
-            "name": name,
-            "cat": phase,
-            "ph": "X",
-            "ts": e.start_ms * 1000.0,           // Chrome traces are in µs
-            "dur": (e.end_ms - e.start_ms) * 1000.0,
-            "pid": 0,
-            "tid": e.stage,
-        }));
-    }
-    serde_json::to_string_pretty(&entries).expect("trace serializes")
-}
-
 impl PipelineSim {
     /// Creates a pipeline with identical costs on every stage.
     pub fn uniform(costs: StageCosts, p: usize, num_micro: u64, p2p_ms: f64) -> Self {
@@ -213,12 +179,45 @@ impl PipelineSim {
     }
 
     /// Like [`PipelineSim::simulate_1f1b`], additionally returning the
-    /// executed timeline (see [`chrome_trace_json`]).
+    /// executed timeline.
     pub fn trace_1f1b(&self, store_budget: Option<&[u64]>) -> (SimResult, Vec<TraceEvent>) {
         let ops: Vec<Vec<Op>> = (0..self.p()).map(|s| self.stage_ops(s)).collect();
         let mut events = Vec::new();
         let result = self.simulate_with_ops(ops, store_budget, Some(&mut events));
         (result, events)
+    }
+
+    /// Like [`PipelineSim::simulate_1f1b`], recording every executed step
+    /// into `tracer` as a complete span on its stage's track — `F{m}` for a
+    /// forward, `B{m}` for a backward, `R+B{m}` for a backward that
+    /// recomputed — so [`mt_trace::export::chrome_trace_string`] renders
+    /// the schedule the paper's Figure 10 sketches. The sim itself is
+    /// unchanged by tracing.
+    pub fn simulate_1f1b_traced(
+        &self,
+        store_budget: Option<&[u64]>,
+        tracer: &mt_trace::Tracer,
+    ) -> SimResult {
+        let (result, events) = self.trace_1f1b(store_budget);
+        for e in events {
+            let name = match (e.forward, e.recomputed) {
+                (true, _) => format!("F{}", e.micro),
+                (false, true) => format!("R+B{}", e.micro),
+                (false, false) => format!("B{}", e.micro),
+            };
+            let args = vec![
+                ("micro", mt_trace::ArgValue::U64(e.micro as u64)),
+                ("recomputed", mt_trace::ArgValue::Bool(e.recomputed)),
+            ];
+            tracer.complete_at(
+                name,
+                e.stage as u32,
+                e.start_ms * 1_000.0,
+                (e.end_ms - e.start_ms) * 1_000.0,
+                args,
+            );
+        }
+        result
     }
 
     /// Simulates the GPipe schedule (all-forward then all-backward with a
@@ -577,13 +576,18 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_valid_json() {
+    fn traced_1f1b_exports_a_valid_chrome_trace() {
         let sim = PipelineSim::uniform(StageCosts::new(1.0, 2.0, 0.0), 2, 3, 0.0);
+        let tracer = mt_trace::Tracer::enabled();
+        let result = sim.simulate_1f1b_traced(None, &tracer);
+        assert_eq!(result, sim.simulate_1f1b(None), "tracing must not change the sim");
         let (_, events) = sim.trace_1f1b(None);
-        let json = chrome_trace_json(&events);
+        let json = mt_trace::export::chrome_trace_string(&tracer.events());
         let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
+        mt_trace::export::validate_chrome_trace(&parsed).expect("well-formed trace");
         assert_eq!(parsed.as_array().unwrap().len(), events.len());
         assert_eq!(parsed[0]["ph"], "X");
+        assert_eq!(parsed[0]["name"], "F0");
     }
 
     #[test]

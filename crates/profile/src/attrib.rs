@@ -5,8 +5,8 @@
 //! Attribution works on self time: a span's interval minus its children's
 //! intervals belongs to the span itself, resolved to a category from the
 //! span's name and its ancestry (a GEMM kernel inside a recompute region
-//! is recompute; a collective inside the overlap driver is overlapped
-//! comm). Time covered by no span at all is pipeline bubble / idle.
+//! is recompute). Time covered by no span at all is pipeline bubble /
+//! idle.
 
 use crate::timeline::{Timeline, Track};
 use serde::{Deserialize, Serialize};
@@ -14,26 +14,13 @@ use serde::{Deserialize, Serialize};
 /// The closed category set of the attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
-    /// GEMM and other kernel compute (incl. the overlap driver's compute
-    /// and join time).
+    /// GEMM and other kernel compute.
     Gemm,
-    /// Communication no dependent compute covered: blocking collectives
-    /// outside the overlap driver.
+    /// Communication: blocking collectives and their ledger wrappers.
     ExposedComm,
-    /// Collective time issued under the dependency-aware overlap driver
-    /// (hidden or hideable behind row-band compute).
-    OverlappedComm,
     /// Activation recomputation serialized into the backward pass (the
-    /// paper's trade currency): inline replays and their child kernels,
-    /// plus the join wait on a prefetched replay the backward failed to
-    /// hide.
+    /// paper's trade currency): inline replays and their child kernels.
     ExposedRecompute,
-    /// Rank-thread time inside the recompute-prefetch driver's window that
-    /// is not the covering backward work itself: issue/join bookkeeping for
-    /// a replay running hidden on a helper thread. (The hidden replay costs
-    /// no rank wall time, exactly like an off-stream GPU kernel; the
-    /// ledger's `recompute_us` carries its true duration.)
-    OverlappedRecompute,
     /// Optimizer / parameter update.
     Optimizer,
     /// Time covered by no span: pipeline bubble or rank idle.
@@ -44,12 +31,10 @@ pub enum Category {
 }
 
 /// Every category, in report order.
-pub const CATEGORIES: [Category; 8] = [
+pub const CATEGORIES: [Category; 6] = [
     Category::Gemm,
     Category::ExposedComm,
-    Category::OverlappedComm,
     Category::ExposedRecompute,
-    Category::OverlappedRecompute,
     Category::Optimizer,
     Category::Bubble,
     Category::Other,
@@ -61,9 +46,7 @@ impl Category {
         match self {
             Category::Gemm => "gemm",
             Category::ExposedComm => "exposed_comm",
-            Category::OverlappedComm => "overlapped_comm",
             Category::ExposedRecompute => "exposed_recompute",
-            Category::OverlappedRecompute => "overlapped_recompute",
             Category::Optimizer => "optimizer",
             Category::Bubble => "bubble",
             Category::Other => "other",
@@ -78,12 +61,8 @@ pub struct CategoryNs {
     pub gemm: u64,
     /// Exposed communication.
     pub exposed_comm: u64,
-    /// Overlapped communication.
-    pub overlapped_comm: u64,
-    /// Exposed (inline or join-wait) recomputation.
+    /// Exposed (inline) recomputation.
     pub exposed_recompute: u64,
-    /// Recompute-prefetch driver bookkeeping (hidden replay).
-    pub overlapped_recompute: u64,
     /// Optimizer.
     pub optimizer: u64,
     /// Bubble / idle.
@@ -103,9 +82,7 @@ impl CategoryNs {
         match cat {
             Category::Gemm => self.gemm,
             Category::ExposedComm => self.exposed_comm,
-            Category::OverlappedComm => self.overlapped_comm,
             Category::ExposedRecompute => self.exposed_recompute,
-            Category::OverlappedRecompute => self.overlapped_recompute,
             Category::Optimizer => self.optimizer,
             Category::Bubble => self.bubble,
             Category::Other => self.other,
@@ -116,9 +93,7 @@ impl CategoryNs {
         match cat {
             Category::Gemm => &mut self.gemm,
             Category::ExposedComm => &mut self.exposed_comm,
-            Category::OverlappedComm => &mut self.overlapped_comm,
             Category::ExposedRecompute => &mut self.exposed_recompute,
-            Category::OverlappedRecompute => &mut self.overlapped_recompute,
             Category::Optimizer => &mut self.optimizer,
             Category::Bubble => &mut self.bubble,
             Category::Other => &mut self.other,
@@ -126,7 +101,7 @@ impl CategoryNs {
     }
 
     /// `(label, ns)` for every category, in report order.
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
+    pub fn entries(&self) -> [(&'static str, u64); 6] {
         CATEGORIES.map(|c| (c.label(), self.get(c)))
     }
 
@@ -167,36 +142,16 @@ pub(crate) fn is_global_rendezvous(name: &str) -> bool {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Ctx {
-    in_overlap: bool,
     in_recompute: bool,
     in_optimizer: bool,
 }
 
 /// Category of a span's *self* time given its name and ancestry.
 fn resolve(name: &str, ctx: Ctx) -> Category {
-    if is_collective(name) {
-        return if ctx.in_overlap { Category::OverlappedComm } else { Category::ExposedComm };
-    }
-    if name == "comm_exposed" {
-        // The ledger wrapper: its self time is rendezvous bookkeeping
-        // around the collective it times.
+    if is_collective(name) || name == "comm_exposed" {
+        // A rendezvous, or the ledger wrapper whose self time is the
+        // bookkeeping around the collective it times.
         return Category::ExposedComm;
-    }
-    if name == "gemm_overlapped" {
-        // The overlap driver's self time is band compute + join; the
-        // fetches it issues are separate child collective spans.
-        return Category::Gemm;
-    }
-    if name == "recompute_overlapped" {
-        // The recompute-prefetch driver's self time: issue/join
-        // bookkeeping around a replay hidden on a helper thread. Its
-        // children are the *covering backward work*, not the replay, so
-        // they resolve by their own names (no in_recompute inheritance).
-        return Category::OverlappedRecompute;
-    }
-    if name == "recompute_wait" {
-        // Join wait the covering work failed to hide: exposed replay time.
-        return Category::ExposedRecompute;
     }
     if name.starts_with("kernel_") || name == "fwd_chunk" || name == "bwd_chunk" {
         // Kernels executed for recomputation (or inside the optimizer)
@@ -218,7 +173,7 @@ fn resolve(name: &str, ctx: Ctx) -> Category {
     }
     if matches!(name, "epoch_reform" | "reshard" | "replay_segment") {
         // Elastic-recovery phases (mt-elastic): MTTR wall time bought
-        // neither math nor bytes, so it lands in `other` — the 8-category
+        // neither math nor bytes, so it lands in `other` — the category
         // sum still tiles the wall exactly, and a recovery-heavy window is
         // visibly recovery-heavy instead of masquerading as compute.
         return Category::Other;
@@ -299,9 +254,7 @@ fn emit(
     let span = &track.spans[idx];
     let own = resolve(&span.name, ctx);
     let child_ctx = Ctx {
-        in_overlap: ctx.in_overlap || span.name == "gemm_overlapped",
-        in_recompute: ctx.in_recompute
-            || (span.name.starts_with("recompute") && span.name != "recompute_overlapped"),
+        in_recompute: ctx.in_recompute || span.name.starts_with("recompute"),
         in_optimizer: ctx.in_optimizer || span.name == "optimizer",
     };
     let mut cursor = cursor.max(span.start_ns);
@@ -361,50 +314,16 @@ mod tests {
         assert_eq!(totals.optimizer, 10_000);
         assert_eq!(totals.other, 30_000);
         assert_eq!(totals.bubble, 0);
-        assert_eq!(totals.overlapped_comm, 0);
-        assert_eq!(totals.total(), tl.wall_ns(), "categories tile the window exactly");
-    }
-
-    /// The recompute-prefetch driver: its children are covering backward
-    /// work (categorized by their own names), its self time is driver
-    /// bookkeeping, and the join wait is exposed recompute.
-    #[test]
-    fn recompute_prefetch_driver_splits_exposed_from_overlapped() {
-        let t = Tracer::enabled();
-        // Track 0, window [0, 100us]:
-        //   step [0, 100]
-        //     recompute_overlapped [10, 60]
-        //       kernel_gemm        [12, 40] -> gemm (covering backward) 28us
-        //       all_reduce         [40, 48] -> exposed_comm             8us
-        //       recompute_wait     [50, 58] -> exposed_recompute        8us
-        //       (self: [10,12]+[48,50]+[58,60] = 6us -> overlapped_recompute)
-        //     recompute_attention  [70, 90]
-        //       kernel_gemm        [72, 88] -> exposed_recompute (inherits)
-        // self of step: [0,10]+[60,70]+[90,100] = 30us -> other
-        t.complete_at("kernel_gemm", 0, 12.0, 28.0, Vec::new());
-        t.complete_at("all_reduce", 0, 40.0, 8.0, Vec::new());
-        t.complete_at("recompute_wait", 0, 50.0, 8.0, Vec::new());
-        t.complete_at("recompute_overlapped", 0, 10.0, 50.0, Vec::new());
-        t.complete_at("kernel_gemm", 0, 72.0, 16.0, Vec::new());
-        t.complete_at("recompute_attention", 0, 70.0, 20.0, Vec::new());
-        t.complete_at("step", 0, 0.0, 100.0, Vec::new());
-        let tl = Timeline::build(&t.events()).unwrap();
-        let totals = segment_track(&tl.tracks[&0], tl.window).totals();
-        assert_eq!(totals.gemm, 28_000, "covering backward under the driver stays gemm");
-        assert_eq!(totals.exposed_comm, 8_000, "collectives under the driver stay comm");
-        assert_eq!(totals.exposed_recompute, 8_000 + 16_000 + 4_000, "wait + inline replay");
-        assert_eq!(totals.overlapped_recompute, 6_000, "driver self time only");
-        assert_eq!(totals.other, 30_000);
         assert_eq!(totals.total(), tl.wall_ns(), "categories tile the window exactly");
     }
 
     #[test]
-    fn uncovered_time_and_overlap_fetches_categorize() {
+    fn uncovered_time_is_bubble_and_slices_are_exact() {
         let t = Tracer::enabled();
-        // Track 3 starts late (10us of bubble), then an overlap driver
-        // whose child fetch is overlapped comm.
+        // Track 3 starts late (10us of bubble), then a kernel with a
+        // collective nested in it.
         t.complete_at("all_gather", 3, 15.0, 10.0, Vec::new());
-        t.complete_at("gemm_overlapped", 3, 10.0, 40.0, Vec::new());
+        t.complete_at("kernel_gemm", 3, 10.0, 40.0, Vec::new());
         // A second, earlier-starting track pins the window start at 0.
         t.complete_at("step", 0, 0.0, 50.0, Vec::new());
         let tl = Timeline::build(&t.events()).unwrap();
@@ -412,14 +331,14 @@ mod tests {
         let segs = segment_track(&tl.tracks[&3], tl.window);
         let totals = segs.totals();
         assert_eq!(totals.bubble, 10_000, "pre-first-span time is idle");
-        assert_eq!(totals.overlapped_comm, 10_000, "fetch under the driver");
-        assert_eq!(totals.gemm, 30_000, "driver self time is compute+join");
+        assert_eq!(totals.exposed_comm, 10_000, "the nested collective");
+        assert_eq!(totals.gemm, 30_000, "kernel self time");
         assert_eq!(totals.total(), tl.wall_ns());
         // Slices are exact too.
         let head = segs.slice(0, 20_000);
         assert_eq!(head.bubble, 10_000);
         assert_eq!(head.gemm, 5_000);
-        assert_eq!(head.overlapped_comm, 5_000);
+        assert_eq!(head.exposed_comm, 5_000);
         assert_eq!(head.total(), 20_000);
     }
 }

@@ -6,21 +6,17 @@
 //! profile-report --diff <base> <fresh>   # per-category delta narrative
 //! ```
 //!
-//! The default (`--smoke`) mode runs three traced 2-rank workloads over a
-//! simulated α–β link — a full trainer step (forward, backward with
-//! selective recompute, optimizer) with exposed collectives, one
-//! transformer layer under the chunked comm-overlap driver, and one under
-//! the recompute-prefetch driver — profiles all three, and hard-asserts
-//! the exact invariants before writing anything:
+//! The default (`--smoke`) mode runs one traced 2-rank trainer step
+//! (forward, backward with selective recompute, optimizer) over a
+//! simulated α–β link, profiles it, and hard-asserts the exact invariants
+//! before writing anything:
 //!
 //! * per rank, category nanoseconds sum to the step wall time;
 //! * the trace's wrapped-comm and wrapped-recompute close-args equal the
 //!   rank's `StepTiming` ledger integer for integer;
 //! * the cross-rank critical path telescopes to the step wall exactly;
-//! * the trainer profile shows nonzero exposed recompute and optimizer
-//!   time, the overlapped profile nonzero overlapped comm, and the
-//!   recompute-prefetch profile nonzero overlapped recompute — the
-//!   categories the paper's accounting turns on.
+//! * the profile shows nonzero exposed comm, exposed recompute and
+//!   optimizer time — the categories the paper's accounting turns on.
 //!
 //! Outputs `DIR/PROFILE_step.json` (schema in [`ProfileDocument`]) and
 //! `DIR/PROFILE_step.txt` (the ASCII rendering, also printed to stdout).
@@ -34,18 +30,13 @@ use mt_kernels::{set_default_backend, Backend};
 use mt_memory::Recompute;
 use mt_model::gpt::Gpt;
 use mt_model::trainer::{Trainer, TrainerConfig};
-use mt_model::weights::LayerWeights;
-use mt_model::{
-    take_step_timing, ActivationLedger, ExecMode, ExecPolicy, OverlapPolicy, StepTiming,
-    TransformerConfig, TransformerLayer,
-};
+use mt_model::{ExecMode, StepTiming, TransformerConfig};
 use mt_perf::GpuSpec;
 use mt_profile::{
     analyze, diff_documents, load_profiles, render_ascii, verify, AnalyzeOptions, ExpectedTiming,
     ProfileDocument, ProfileReport,
 };
-use mt_tensor::rng::{CounterRng, SplitMix64};
-use mt_tensor::Tensor;
+use mt_tensor::rng::SplitMix64;
 use mt_trace::Tracer;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -95,7 +86,9 @@ fn ledger_map(per_rank: &[StepTiming]) -> BTreeMap<u32, ExpectedTiming> {
 }
 
 /// One traced trainer step (forward + selective-recompute backward +
-/// optimizer) on a 2-rank TP+SP world over a slow link.
+/// optimizer) on a 2-rank TP+SP world over a slow link. The kernels run on
+/// this CPU, so the divergence section prices them with the reference CPU
+/// spec.
 fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
     let cfg = config();
     let policy = Recompute::Selective;
@@ -117,56 +110,11 @@ fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
     let opts = AnalyzeOptions {
         label: label.to_string(),
         link: Some(link),
-        gpu: Some(GpuSpec::a100()),
+        gpu: Some(GpuSpec::reference_cpu()),
         hidden: cfg.hidden as u64,
         expected_ledger: ledger_map(&timings),
     };
     analyze(&tracer.events(), &opts).expect("trainer-step profile analysis")
-}
-
-/// One traced layer forward+backward under an overlap policy — the
-/// `e2e_step_bench` workload, profiled.
-fn profile_layer_step(label: &str, overlap: OverlapPolicy, link: CommCostModel) -> ProfileReport {
-    let cfg = config();
-    let tracer = Tracer::enabled();
-    let mut rng = SplitMix64::new(17);
-    let full = LayerWeights::init(&cfg, &mut rng);
-    let x = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
-    let dy = Tensor::rand_uniform(&[cfg.tokens(), cfg.hidden], -1.0, 1.0, &mut rng);
-    let mut world = World::new(T);
-    world.set_link_cost(link);
-    world.set_tracer(tracer.clone());
-    let per_rank = world.run_fallible(|comm| {
-        let layer = TransformerLayer::new(
-            cfg,
-            full.shard(T, comm.rank()),
-            0,
-            Recompute::Selective,
-            CounterRng::new(5),
-        );
-        let policy = ExecPolicy::builder()
-            .backend(ExecMode::TensorSequenceParallel(&comm))
-            .overlap(overlap)
-            .build()
-            .expect("valid overlap policy");
-        let x_local = x.chunk_axis0(T).unwrap()[comm.rank()].clone();
-        let dy_local = dy.chunk_axis0(T).unwrap()[comm.rank()].clone();
-        let _ = take_step_timing(); // reset this rank thread's ledger
-        let mut ledger = ActivationLedger::new();
-        let (_y, state) = layer.forward(&x_local, 0, policy, &mut ledger);
-        let _ = layer.backward(&dy_local, state, policy);
-        Ok(take_step_timing())
-    });
-    let timings: Vec<StepTiming> =
-        per_rank.into_iter().map(|r| r.expect("layer step failed")).collect();
-    let opts = AnalyzeOptions {
-        label: label.to_string(),
-        link: Some(link),
-        gpu: Some(GpuSpec::a100()),
-        hidden: cfg.hidden as u64,
-        expected_ledger: ledger_map(&timings),
-    };
-    analyze(&tracer.events(), &opts).expect("layer-step profile analysis")
 }
 
 fn smoke(out_dir: &str) {
@@ -182,16 +130,9 @@ fn smoke(out_dir: &str) {
     );
 
     let trainer = profile_trainer_step("trainer_step_exposed", link);
-    let overlapped =
-        profile_layer_step("layer_overlapped_c2", OverlapPolicy::Overlapped { chunks: 2 }, link);
-    let prefetched = profile_layer_step(
-        "layer_overlapped_recompute_c2",
-        OverlapPolicy::overlapped_recompute(2).expect("nonzero chunks"),
-        link,
-    );
 
     // `analyze` already enforced attribution==wall, ledger equality, and
-    // critical-path telescoping; assert the workloads actually exercised
+    // critical-path telescoping; assert the workload actually exercised
     // the categories the smoke exists to cover.
     let cats = trainer.max_categories();
     assert!(cats.exposed_recompute > 0, "trainer profile must show exposed recompute: {cats:?}");
@@ -201,30 +142,12 @@ fn smoke(out_dir: &str) {
         trainer.max_wrapped_recompute_us() > 0,
         "selective recompute must mirror a nonzero recompute ledger"
     );
-    let ocats = overlapped.max_categories();
-    assert!(ocats.overlapped_comm > 0, "overlap profile must show overlapped comm: {ocats:?}");
-    assert!(
-        overlapped.max_wrapped_comm_us() > 0,
-        "overlap profile must mirror a nonzero comm ledger"
-    );
-    let pcats = prefetched.max_categories();
-    assert!(
-        pcats.overlapped_recompute > 0,
-        "recompute-prefetch profile must show driver time: {pcats:?}"
-    );
-    assert!(
-        prefetched.max_wrapped_recompute_us() > 0,
-        "recompute-prefetch profile must mirror a nonzero recompute ledger"
-    );
+    assert!(trainer.max_wrapped_comm_us() > 0, "TP+SP must mirror a nonzero comm ledger");
 
-    let mut text = String::new();
-    let mut profiles = BTreeMap::new();
-    for report in [trainer, overlapped, prefetched] {
-        text.push_str(&render_ascii(&report));
-        text.push('\n');
-        profiles.insert(report.label.clone(), report);
-    }
+    let mut text = render_ascii(&trainer);
+    text.push('\n');
     print!("{text}");
+    let profiles = BTreeMap::from([(trainer.label.clone(), trainer)]);
 
     let doc = ProfileDocument::new(profiles);
     std::fs::create_dir_all(out_dir).expect("create reports dir");

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 /// One matched cross-rank rendezvous round.
 #[derive(Debug, Clone)]
 pub struct Round {
-    /// Stable key: `seq:op:payload_bytes[:chunk/chunks]` — the profiler's
+    /// Stable key: `seq:op:payload_bytes` — the profiler's
     /// rendering of the runtime `CallTag`.
     pub key: String,
     /// Track → index of that track's span for this round.
@@ -79,10 +79,7 @@ pub fn collective_rounds(tl: &Timeline) -> Result<Vec<Round>, String> {
         let mut spans = BTreeMap::new();
         for (&id, idxs) in &per_track {
             let span = &tl.tracks[&id].spans[idxs[i]];
-            let mut sig = format!("{}:{}", span.name, span.arg_u64("payload_bytes").unwrap_or(0));
-            if let (Some(j), Some(c)) = (span.arg_u64("chunk"), span.arg_u64("chunks")) {
-                sig.push_str(&format!(":{j}/{c}"));
-            }
+            let sig = format!("{}:{}", span.name, span.arg_u64("payload_bytes").unwrap_or(0));
             match &signature {
                 None => signature = Some(sig),
                 Some(expected) if *expected != sig => {

@@ -14,9 +14,8 @@
 //!    validated against each span's `CallTag`-derived signature
 //!    ([`collective_rounds`]).
 //! 3. **Attributes every nanosecond** of each rank's window to a closed
-//!    category set — {gemm, exposed_comm, overlapped_comm,
-//!    exposed_recompute, overlapped_recompute, optimizer, bubble, other}
-//!    — with the invariant that categories sum to wall time **exactly**
+//!    category set — {gemm, exposed_comm, exposed_recompute, optimizer,
+//!    bubble, other} — with the invariant that categories sum to wall time **exactly**
 //!    ([`segment_track`], [`CategoryNs`]).
 //! 4. **Extracts the cross-rank critical path** ([`critical_path`]):
 //!    walk backward from the latest span end, hopping to the last arriver

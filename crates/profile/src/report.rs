@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 
 /// Report format version (`reports/PROFILE_*.json`).
 ///
-/// v2: `CategoryNs` splits `recompute` into `exposed_recompute` /
-/// `overlapped_recompute`, and ranks carry the recompute ledger mirror.
+/// v2: `CategoryNs` names recompute `exposed_recompute`, and ranks carry
+/// the recompute ledger mirror.
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One rank's expected `StepTiming` ledger, in µs — what the trace's
@@ -26,18 +26,18 @@ pub const SCHEMA_VERSION: u64 = 2;
 pub struct ExpectedTiming {
     /// Total ledger-wrapped collective time.
     pub comm_us: u64,
-    /// Exposed (unhidden) collective time.
+    /// Collective time on the critical path.
     pub exposed_us: u64,
-    /// Total activation recompute time (inline + prefetched).
+    /// Total activation recompute time.
     pub recompute_us: u64,
-    /// Recompute time the backward pass failed to hide.
+    /// Recompute time on the critical path.
     pub exposed_recompute_us: u64,
 }
 
 /// Inputs to [`analyze`] beyond the trace itself.
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
-    /// Report label (config name: `overlapped_c2`, …).
+    /// Report label (config name: `exposed`, `trainer_step_exposed`, …).
     pub label: String,
     /// α–β model of the profiled interconnect, for the measured-vs-
     /// predicted communication divergence entry.
@@ -62,14 +62,13 @@ pub struct RankProfile {
     /// Per-category ns; sums to `wall_ns` exactly.
     pub categories: CategoryNs,
     /// Σ `comm_us` close-args over ledger-wrapped comm spans
-    /// (`comm_exposed`, `gemm_overlapped`) — the trace's mirror of the
-    /// rank's `CommTiming::comm_us`.
+    /// (`comm_exposed`) — the trace's mirror of the rank's
+    /// `StepTiming::comm_us`.
     pub wrapped_comm_us: u64,
-    /// Σ `exposed_us` close-args — mirror of `CommTiming::exposed_us`.
+    /// Σ `exposed_us` close-args — mirror of `StepTiming::exposed_us`.
     pub wrapped_exposed_us: u64,
     /// Σ `recompute_us` close-args over ledger-wrapped recompute spans
-    /// (`recompute_attention`, `recompute_layer`, `recompute_overlapped`)
-    /// — the trace's mirror of the rank's `StepTiming::recompute_us`.
+    /// (`recompute_attention`, `recompute_layer`) — the trace's mirror of the rank's `StepTiming::recompute_us`.
     pub wrapped_recompute_us: u64,
     /// Σ `exposed_us` close-args over the same recompute spans — mirror
     /// of `StepTiming::exposed_recompute_us`.
@@ -201,14 +200,11 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
         let mut wrapped_recompute_us = 0u64;
         let mut wrapped_exposed_recompute_us = 0u64;
         for span in &track.spans {
-            if span.name == "comm_exposed" || span.name == "gemm_overlapped" {
+            if span.name == "comm_exposed" {
                 wrapped_comm_us += span.arg_u64("comm_us").unwrap_or(0);
                 wrapped_exposed_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
-            if span.name == "recompute_attention"
-                || span.name == "recompute_layer"
-                || span.name == "recompute_overlapped"
-            {
+            if span.name == "recompute_attention" || span.name == "recompute_layer" {
                 wrapped_recompute_us += span.arg_u64("recompute_us").unwrap_or(0);
                 wrapped_exposed_recompute_us += span.arg_u64("exposed_us").unwrap_or(0);
             }
@@ -299,10 +295,8 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
             let mut ns = 0u64;
             let mut flops = 0.0f64;
             for s in &track.spans {
-                if s.name == "kernel_gemm" || s.name == "gemm_overlapped" {
-                    if s.name == "kernel_gemm" {
-                        ns += s.dur_ns();
-                    }
+                if s.name == "kernel_gemm" {
+                    ns += s.dur_ns();
                     if let (Some(m), Some(n), Some(k)) =
                         (s.arg_u64("m"), s.arg_u64("n"), s.arg_u64("k"))
                     {
@@ -332,7 +326,7 @@ pub fn analyze(events: &[TraceEvent], opts: &AnalyzeOptions) -> Result<ProfileRe
             let dur_us = span.dur_ns() / 1_000;
             if is_collective(&span.name) {
                 registry.histogram_record(&format!("comm.{}.latency_us", span.name), dur_us);
-            } else if span.name.starts_with("kernel_") || span.name == "gemm_overlapped" {
+            } else if span.name.starts_with("kernel_") {
                 registry.histogram_record(&format!("kernel.{}.dur_us", span.name), dur_us);
             }
         }

@@ -8,8 +8,7 @@ use mt_collectives::World;
 use mt_memory::Recompute;
 use mt_model::weights::LayerWeights;
 use mt_model::{
-    take_step_timing, ActivationLedger, ExecMode, ExecPolicy, OverlapPolicy, StepTiming,
-    TransformerConfig, TransformerLayer,
+    take_step_timing, ActivationLedger, ExecMode, StepTiming, TransformerConfig, TransformerLayer,
 };
 use mt_profile::{analyze, verify, AnalyzeOptions, ExpectedTiming, ProfileDocument, ProfileReport};
 use mt_tensor::rng::{CounterRng, SplitMix64};
@@ -34,7 +33,7 @@ fn config() -> TransformerConfig {
 
 /// Runs one traced layer forward+backward and returns the events plus each
 /// rank's `StepTiming` ledger.
-fn traced_step(overlap: OverlapPolicy) -> (Vec<mt_trace::TraceEvent>, Vec<StepTiming>) {
+fn traced_step() -> (Vec<mt_trace::TraceEvent>, Vec<StepTiming>) {
     let cfg = config();
     let tracer = Tracer::enabled();
     let mut rng = SplitMix64::new(17);
@@ -51,17 +50,13 @@ fn traced_step(overlap: OverlapPolicy) -> (Vec<mt_trace::TraceEvent>, Vec<StepTi
             Recompute::Selective,
             CounterRng::new(5),
         );
-        let policy = ExecPolicy::builder()
-            .backend(ExecMode::TensorSequenceParallel(&comm))
-            .overlap(overlap)
-            .build()
-            .expect("valid overlap policy");
+        let mode = ExecMode::TensorSequenceParallel(&comm);
         let x_local = x.chunk_axis0(T).unwrap()[comm.rank()].clone();
         let dy_local = dy.chunk_axis0(T).unwrap()[comm.rank()].clone();
         let _ = take_step_timing();
         let mut ledger = ActivationLedger::new();
-        let (_y, state) = layer.forward(&x_local, 0, policy, &mut ledger);
-        let _ = layer.backward(&dy_local, state, policy);
+        let (_y, state) = layer.forward(&x_local, 0, mode, &mut ledger);
+        let _ = layer.backward(&dy_local, state, mode);
         Ok(take_step_timing())
     });
     let timings = per_rank.into_iter().map(|r| r.expect("step failed")).collect();
@@ -101,7 +96,7 @@ fn analyze_with_ledger(
 
 #[test]
 fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
-    let (events, timings) = traced_step(OverlapPolicy::Exposed);
+    let (events, timings) = traced_step();
     let report = analyze_with_ledger(&events, &timings, "exposed");
 
     assert_eq!(report.ranks.len(), T);
@@ -114,8 +109,9 @@ fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
         assert_eq!(profile.wrapped_exposed_recompute_us, timings[rank].exposed_recompute_us);
         assert!(profile.categories.exposed_comm > 0, "TP+SP step must expose comm");
         assert!(profile.categories.exposed_recompute > 0, "selective recompute must show up");
-        assert_eq!(profile.categories.overlapped_comm, 0, "no overlap driver ran");
-        assert_eq!(profile.categories.overlapped_recompute, 0, "no prefetch driver ran");
+        // Every collective and replay blocks the rank: nothing is hidden.
+        assert_eq!(timings[rank].exposed_us, timings[rank].comm_us);
+        assert_eq!(timings[rank].exposed_recompute_us, timings[rank].recompute_us);
     }
     assert_eq!(report.critical_path.total_ns, report.step_wall_ns, "path telescopes");
     assert_eq!(
@@ -126,45 +122,8 @@ fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
 }
 
 #[test]
-fn overlapped_step_shows_overlapped_comm_and_still_balances() {
-    let (events, timings) = traced_step(OverlapPolicy::Overlapped { chunks: 2 });
-    let report = analyze_with_ledger(&events, &timings, "overlapped_c2");
-    let cats = report.max_categories();
-    assert!(cats.overlapped_comm > 0, "chunked fetches must land under the driver: {cats:?}");
-    for profile in report.ranks.values() {
-        assert_eq!(profile.categories.total(), report.step_wall_ns);
-    }
-    assert_eq!(report.critical_path.total_ns, report.step_wall_ns);
-}
-
-#[test]
-fn overlapped_recompute_step_splits_the_recompute_ledger_and_balances() {
-    let (events, timings) =
-        traced_step(OverlapPolicy::overlapped_recompute(2).expect("nonzero chunks"));
-    let report = analyze_with_ledger(&events, &timings, "overlapped_recompute_c2");
-    for (rank, profile) in report.ranks.values().enumerate() {
-        assert_eq!(profile.categories.total(), report.step_wall_ns);
-        assert_eq!(profile.wrapped_recompute_us, timings[rank].recompute_us);
-        assert_eq!(profile.wrapped_exposed_recompute_us, timings[rank].exposed_recompute_us);
-        assert!(
-            profile.wrapped_recompute_us >= profile.wrapped_exposed_recompute_us,
-            "exposed recompute cannot exceed total recompute"
-        );
-        assert!(
-            profile.categories.overlapped_recompute > 0,
-            "the prefetch driver must show up: {:?}",
-            profile.categories
-        );
-        // No inline replay ran, so any exposed-recompute ns can come only
-        // from the join-wait span (which may legitimately be nonzero when
-        // the replay outlasts the covering backward half).
-    }
-    assert_eq!(report.critical_path.total_ns, report.step_wall_ns);
-}
-
-#[test]
 fn a_doctored_ledger_fails_analysis() {
-    let (events, timings) = traced_step(OverlapPolicy::Exposed);
+    let (events, timings) = traced_step();
     let mut ledger = ledger_map(&timings);
     ledger.get_mut(&0).unwrap().exposed_us += 1; // one microsecond of drift
     let opts = AnalyzeOptions {
@@ -178,7 +137,7 @@ fn a_doctored_ledger_fails_analysis() {
 
 #[test]
 fn report_survives_a_json_round_trip_and_verify_catches_corruption() {
-    let (events, timings) = traced_step(OverlapPolicy::Exposed);
+    let (events, timings) = traced_step();
     let report = analyze_with_ledger(&events, &timings, "roundtrip");
 
     let doc = ProfileDocument::new(BTreeMap::from([(report.label.clone(), report.clone())]));

@@ -2,7 +2,7 @@
 //!
 //! The workspace's synchronization facade. Every `Mutex` / `Condvar` /
 //! channel / scoped-spawn / `Instant` used by the concurrency layer
-//! (`mt-collectives` rendezvous, `mt-kernels` overlap drivers, `mt-fault`
+//! (`mt-collectives` rendezvous, the `mt-kernels` worker pool, `mt-fault`
 //! plans) is imported from here instead of from `parking_lot` / `crossbeam` /
 //! `std::sync` directly (the `raw-sync-primitive` lint enforces this).
 //!
@@ -18,7 +18,7 @@
 //!   schedulable transition, `wait_for` timeouts are virtual-time events
 //!   (not wall clock), and a vector-clock happens-before relation is
 //!   maintained for race checking. `crates/check` (mt-check) runs the real
-//!   collectives/overlap code under this scheduler and explores all
+//!   collectives code under this scheduler and explores all
 //!   interleavings of small worlds with DPOR pruning.
 //!
 //! A cfg rather than a cargo feature keeps the instrumentation out of normal
