@@ -39,9 +39,9 @@
 //! demand a single core cannot physically meet would gate nothing but the
 //! host type.
 //!
-//! E2e entries are keyed by `(policy, chunks, threads)` and fail
-//! when `step_ms` regresses past `--max-step-slowdown` (default ×1.5 —
-//! end-to-end steps on shared CI runners are noisier than microbenches).
+//! E2e entries are keyed by `threads` and fail when `step_ms` regresses
+//! past `--max-step-slowdown` (default ×1.5 — end-to-end steps on shared
+//! CI runners are noisier than microbenches).
 //!
 //! Recovery entries (from `recovery_bench`) are keyed by `scenario` and
 //! fail when `mttr_ms` regresses past `--max-mttr-slowdown` (default ×3.0
@@ -304,12 +304,8 @@ fn main() {
 
     // --- e2e step bench ---
     let fresh_doc = load(&args.e2e);
-    let fresh = index_results(&fresh_doc, &args.e2e, &["policy", "chunks", "threads"]);
-    let base = index_results(
-        &load(&args.e2e_baseline),
-        &args.e2e_baseline,
-        &["policy", "chunks", "threads"],
-    );
+    let fresh = index_results(&fresh_doc, &args.e2e, &["threads"]);
+    let base = index_results(&load(&args.e2e_baseline), &args.e2e_baseline, &["threads"]);
     compare_keys(&fresh, &base, "e2e", &mut failures);
     for (key, b) in &base {
         let Some(n) = fresh.get(key) else { continue };

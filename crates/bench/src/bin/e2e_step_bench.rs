@@ -35,7 +35,7 @@ use mt_model::{
     take_step_timing, ActivationLedger, ExecMode, StepTiming, TransformerConfig, TransformerLayer,
 };
 use mt_perf::GpuSpec;
-use mt_profile::{analyze, AnalyzeOptions, ExpectedTiming, ProfileDocument, ProfileReport};
+use mt_profile::{analyze, AnalyzeOptions, ProfileDocument, ProfileReport};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use mt_trace::{TraceEvent, Tracer};
@@ -211,8 +211,6 @@ fn main() {
         m.step_ms, m.comm_ms, m.exposed_comm_ms, m.recompute_ms, m.exposed_recompute_ms
     );
     let result = serde_json::json!({
-        "policy": "exposed",
-        "chunks": 1,
         "threads": threads,
         "reps": reps,
         "step_ms": m.step_ms,
@@ -236,22 +234,7 @@ fn main() {
             link: Some(link),
             gpu: Some(GpuSpec::reference_cpu()),
             hidden: cfg.hidden as u64,
-            expected_ledger: m
-                .timings
-                .iter()
-                .enumerate()
-                .map(|(rank, t)| {
-                    (
-                        rank as u32,
-                        ExpectedTiming {
-                            comm_us: t.comm_us,
-                            exposed_us: t.exposed_us,
-                            recompute_us: t.recompute_us,
-                            exposed_recompute_us: t.exposed_recompute_us,
-                        },
-                    )
-                })
-                .collect(),
+            expected_ledger: (0..).zip(m.timings.iter().copied()).collect(),
         };
         let report = analyze(&m.events, &opts).expect("profile analysis of the best rep");
         assert_eq!(

@@ -43,7 +43,7 @@ fn kernels_doc(best_ms: f64) -> String {
 fn e2e_doc(exposed_step_ms: f64) -> String {
     format!(
         r#"{{"results": [
-            {{"policy": "exposed", "chunks": 1, "threads": 4,
+            {{"threads": 4,
               "step_ms": {exposed_step_ms}, "comm_ms": 50.0, "exposed_comm_ms": 50.0,
               "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}}
         ]}}"#

@@ -35,7 +35,7 @@ fn kernels_doc(avail: u64, s512_ms: f64, t512_ms: f64) -> String {
 /// the gate.
 fn e2e_doc() -> String {
     r#"{"results": [
-        {"policy": "exposed", "chunks": 1, "threads": 4,
+        {"threads": 4,
          "step_ms": 100.0, "comm_ms": 50.0, "exposed_comm_ms": 50.0,
          "recompute_ms": 30.0, "exposed_recompute_ms": 30.0}
     ]}"#

@@ -383,7 +383,7 @@ impl World {
     /// (waking any peer blocked on it with [`CollectiveError::RankDead`])
     /// and its slot in the returned vector carries the error. Never hangs
     /// and never unwinds out of the calling thread, which is what a
-    /// retry-with-recovery driver needs.
+    /// recovery driver (`mt_elastic::train_elastic`) needs.
     ///
     /// Collective failures raised through the infallible methods (panic
     /// payloads of type [`CollectiveError`]) are recovered as that error;

@@ -197,11 +197,13 @@ fn transient_failure_retries_at_the_same_degree() {
     )
     .expect("transient is absorbed");
     assert_eq!(report.retries, 1);
+    assert!(report.failures[0].contains("rank 3"), "failures: {:?}", report.failures);
     assert_eq!(report.reforms.len(), 0, "no reform for a transient");
     assert_eq!(report.final_degree, 4);
+    assert_eq!(report.stats.len(), 8, "all steps committed exactly once");
     assert_eq!(models.len(), 4);
 
-    let (clean, _) = train_elastic(
+    let (clean, clean_report) = train_elastic(
         &init,
         4,
         Recompute::Selective,
@@ -211,6 +213,9 @@ fn transient_failure_retries_at_the_same_degree() {
         data,
     )
     .expect("fault-free run succeeds");
+    for (a, b) in clean_report.stats.iter().zip(&report.stats) {
+        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "loss diverged at step {}", a.step);
+    }
     assert_eq!(unsharded_bits(&clean), unsharded_bits(&models));
 }
 
@@ -258,31 +263,39 @@ fn planned_resizes_can_shrink_and_grow() {
     assert_eq!(unsharded_bits(&models).len(), unsharded_bits(std::slice::from_ref(&init)).len());
 }
 
-/// The failure budget is enforced across reforms and retries alike.
+/// The failure budget is enforced across reforms and retries alike, and
+/// the terminal error names the failing rank — for a transient at t=4 and
+/// for a panic in a serial (t=1) run.
 #[test]
 fn failure_budget_exhaustion_is_a_terminal_error() {
     let c = cfg();
     let init = Gpt::init(c, Recompute::None, 53);
     let data = |step: u64| soak_batch(&c, step);
-    let plan = FaultPlan::builder()
+    let tight = ElasticConfig { max_failures: 0, ..ec(2) };
+    let transients = FaultPlan::builder()
         .transient_at_step(0, 0)
         .transient_at_step(1, 0)
         .transient_at_step(2, 0)
         .build();
-    let tight = ElasticConfig { max_failures: 0, ..ec(2) };
-    let err = train_elastic(
-        &init,
-        4,
-        Recompute::None,
-        TrainerConfig::default(),
-        &tight,
-        Arc::new(plan),
-        data,
-    )
-    .expect_err("zero budget cannot absorb a fault");
-    match err {
-        ElasticError::Exhausted { failures } => assert_eq!(failures.len(), 1),
-        other => panic!("expected Exhausted, got {other}"),
+    let death = FaultPlan::builder().panic_at_step(0, 0).build();
+    for (tp, plan) in [(4, transients), (1, death)] {
+        let err = train_elastic(
+            &init,
+            tp,
+            Recompute::None,
+            TrainerConfig::default(),
+            &tight,
+            Arc::new(plan),
+            data,
+        )
+        .expect_err("zero budget cannot absorb a fault");
+        match err {
+            ElasticError::Exhausted { failures } => {
+                assert_eq!(failures.len(), 1, "tp={tp}");
+                assert!(failures[0].contains("rank 0"), "tp={tp}: {}", failures[0]);
+            }
+            other => panic!("tp={tp}: expected Exhausted, got {other}"),
+        }
     }
 }
 

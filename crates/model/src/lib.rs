@@ -53,7 +53,6 @@ mod layer;
 mod ledger;
 pub mod optim;
 pub mod pipeline_exec;
-pub mod recovery;
 pub mod streams;
 mod timing;
 pub mod trainer;

@@ -1,13 +1,11 @@
 //! Chaos testing: training runs with injected rank failures must fail
-//! fast (no hangs), report the failure precisely, and — through
-//! checkpoint/resume — converge to weights **bit-identical** to a
-//! fault-free run.
+//! fast (no hangs) and report the failure precisely. Recovery from such
+//! failures is `mt-elastic`'s job (`crates/elastic/tests/elastic.rs`).
 
 use mt_collectives::{CollectiveError, World};
 use mt_fault::FaultPlan;
 use mt_memory::Recompute;
 use mt_model::gpt::Gpt;
-use mt_model::recovery::{train_with_recovery, RecoveryConfig};
 use mt_model::trainer::{Trainer, TrainerConfig};
 use mt_model::{ExecMode, TransformerConfig};
 use mt_tensor::rng::SplitMix64;
@@ -74,108 +72,4 @@ fn tp4_training_with_injected_panic_fails_fast_with_rank_dead() {
             other => panic!("rank {rank}: expected RankDead, got {other:?}"),
         }
     }
-}
-
-/// `train_with_recovery` survives an injected rank panic by restoring the
-/// last checkpoint, and its final weights are bit-identical to a fault-free
-/// run of the same number of steps.
-#[test]
-fn recovery_after_rank_panic_is_bit_identical_to_fault_free_run() {
-    let c = cfg();
-    let t = 4usize;
-    let init = Gpt::init(c, Recompute::Selective, 23);
-    let rc = RecoveryConfig {
-        total_steps: 8,
-        checkpoint_every: 3,
-        max_retries: 3,
-        backoff_base: Duration::ZERO,
-        collective_timeout: Duration::from_secs(10),
-    };
-    let data = |step: u64| batch(&cfg(), step);
-
-    // Fault-free reference.
-    let (clean, clean_report) = train_with_recovery(
-        &init,
-        t,
-        Recompute::Selective,
-        TrainerConfig::default(),
-        &rc,
-        Arc::new(FaultPlan::none()),
-        data,
-    )
-    .expect("fault-free run succeeds");
-    assert_eq!(clean_report.retries, 0);
-    assert_eq!(clean_report.stats.len(), 8);
-
-    // Same run with rank 1 panicking at step 4 (second segment) and rank 3
-    // hitting a transient failure at step 7 (third segment).
-    let plan = FaultPlan::builder().panic_at_step(1, 4).transient_at_step(3, 7).build();
-    let (recovered, report) = train_with_recovery(
-        &init,
-        t,
-        Recompute::Selective,
-        TrainerConfig::default(),
-        &rc,
-        Arc::new(plan),
-        data,
-    )
-    .expect("recovery succeeds within the retry budget");
-
-    assert_eq!(report.retries, 2, "one retry per injected fault: {:?}", report.failures);
-    assert!(report.failures[0].contains("rank 1"), "failures: {:?}", report.failures);
-    assert!(report.failures[1].contains("rank 3"), "failures: {:?}", report.failures);
-    assert_eq!(report.stats.len(), 8, "all steps committed exactly once");
-
-    let bits = |m: &Gpt| -> Vec<u32> {
-        let ck = m.to_checkpoint();
-        let mut out: Vec<u32> = Vec::new();
-        for lw in &ck.layer_weights {
-            for tns in lw.tensors() {
-                out.extend(tns.data().iter().map(|x| x.to_bits()));
-            }
-        }
-        out.extend(ck.embedding.table.data().iter().map(|x| x.to_bits()));
-        out.extend(ck.final_ln_gamma.data().iter().map(|x| x.to_bits()));
-        out
-    };
-    assert_eq!(clean.len(), t);
-    assert_eq!(recovered.len(), t);
-    for rank in 0..t {
-        assert_eq!(
-            bits(&clean[rank]),
-            bits(&recovered[rank]),
-            "rank {rank}: recovered weights diverged from the fault-free run"
-        );
-    }
-    // Loss trajectories match step for step, too.
-    for (a, b) in clean_report.stats.iter().zip(&report.stats) {
-        assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "loss diverged at step {}", a.step);
-    }
-}
-
-/// The retry budget is enforced: a fault plan that kills every attempt
-/// exhausts `max_retries` and surfaces a `RecoveryError` naming the rank.
-#[test]
-fn recovery_gives_up_after_max_retries() {
-    let c = cfg();
-    let plan = FaultPlan::builder().panic_at_step(0, 0).build();
-    let rc = RecoveryConfig {
-        total_steps: 2,
-        checkpoint_every: 2,
-        max_retries: 0,
-        backoff_base: Duration::ZERO,
-        collective_timeout: Duration::from_secs(5),
-    };
-    let err = train_with_recovery(
-        &Gpt::init(c, Recompute::None, 5),
-        1,
-        Recompute::None,
-        TrainerConfig::default(),
-        &rc,
-        Arc::new(plan),
-        |step| batch(&c, step),
-    )
-    .expect_err("zero retries cannot absorb a panic");
-    assert_eq!(err.failures.len(), 1);
-    assert!(err.failures[0].contains("rank 0"), "got: {}", err.failures[0]);
 }

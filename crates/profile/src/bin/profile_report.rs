@@ -33,8 +33,8 @@ use mt_model::trainer::{Trainer, TrainerConfig};
 use mt_model::{ExecMode, StepTiming, TransformerConfig};
 use mt_perf::GpuSpec;
 use mt_profile::{
-    analyze, diff_documents, load_profiles, render_ascii, verify, AnalyzeOptions, ExpectedTiming,
-    ProfileDocument, ProfileReport,
+    analyze, diff_documents, load_profiles, render_ascii, verify, AnalyzeOptions, ProfileDocument,
+    ProfileReport,
 };
 use mt_tensor::rng::SplitMix64;
 use mt_trace::Tracer;
@@ -67,24 +67,6 @@ fn data(cfg: &TransformerConfig) -> (Vec<usize>, Vec<usize>) {
     (tokens, targets)
 }
 
-fn ledger_map(per_rank: &[StepTiming]) -> BTreeMap<u32, ExpectedTiming> {
-    per_rank
-        .iter()
-        .enumerate()
-        .map(|(rank, t)| {
-            (
-                rank as u32,
-                ExpectedTiming {
-                    comm_us: t.comm_us,
-                    exposed_us: t.exposed_us,
-                    recompute_us: t.recompute_us,
-                    exposed_recompute_us: t.exposed_recompute_us,
-                },
-            )
-        })
-        .collect()
-}
-
 /// One traced trainer step (forward + selective-recompute backward +
 /// optimizer) on a 2-rank TP+SP world over a slow link. The kernels run on
 /// this CPU, so the divergence section prices them with the reference CPU
@@ -112,7 +94,7 @@ fn profile_trainer_step(label: &str, link: CommCostModel) -> ProfileReport {
         link: Some(link),
         gpu: Some(GpuSpec::reference_cpu()),
         hidden: cfg.hidden as u64,
-        expected_ledger: ledger_map(&timings),
+        expected_ledger: (0..).zip(timings).collect(),
     };
     analyze(&tracer.events(), &opts).expect("trainer-step profile analysis")
 }

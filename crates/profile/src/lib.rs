@@ -51,7 +51,7 @@ pub use diff::{
     ProfileDocument,
 };
 pub use report::{
-    analyze, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence, ExpectedTiming,
-    ProfileReport, RankProfile, TreeLine, SCHEMA_VERSION,
+    analyze, render_ascii, verify, AnalyzeOptions, CritSummary, Divergence, ProfileReport,
+    RankProfile, TreeLine, SCHEMA_VERSION,
 };
 pub use timeline::{Span, Timeline, Track};

@@ -10,7 +10,7 @@ use mt_model::weights::LayerWeights;
 use mt_model::{
     take_step_timing, ActivationLedger, ExecMode, StepTiming, TransformerConfig, TransformerLayer,
 };
-use mt_profile::{analyze, verify, AnalyzeOptions, ExpectedTiming, ProfileDocument, ProfileReport};
+use mt_profile::{analyze, verify, AnalyzeOptions, ProfileDocument, ProfileReport};
 use mt_tensor::rng::{CounterRng, SplitMix64};
 use mt_tensor::Tensor;
 use mt_trace::Tracer;
@@ -63,24 +63,6 @@ fn traced_step() -> (Vec<mt_trace::TraceEvent>, Vec<StepTiming>) {
     (tracer.events(), timings)
 }
 
-fn ledger_map(timings: &[StepTiming]) -> BTreeMap<u32, ExpectedTiming> {
-    timings
-        .iter()
-        .enumerate()
-        .map(|(rank, t)| {
-            (
-                rank as u32,
-                ExpectedTiming {
-                    comm_us: t.comm_us,
-                    exposed_us: t.exposed_us,
-                    recompute_us: t.recompute_us,
-                    exposed_recompute_us: t.exposed_recompute_us,
-                },
-            )
-        })
-        .collect()
-}
-
 fn analyze_with_ledger(
     events: &[mt_trace::TraceEvent],
     timings: &[StepTiming],
@@ -88,7 +70,7 @@ fn analyze_with_ledger(
 ) -> ProfileReport {
     let opts = AnalyzeOptions {
         label: label.to_string(),
-        expected_ledger: ledger_map(timings),
+        expected_ledger: (0..).zip(timings.iter().copied()).collect(),
         ..Default::default()
     };
     analyze(events, &opts).expect("analysis upholds every exact invariant")
@@ -124,7 +106,7 @@ fn exposed_step_attribution_is_exact_and_matches_the_ledger() {
 #[test]
 fn a_doctored_ledger_fails_analysis() {
     let (events, timings) = traced_step();
-    let mut ledger = ledger_map(&timings);
+    let mut ledger: BTreeMap<u32, StepTiming> = (0..).zip(timings).collect();
     ledger.get_mut(&0).unwrap().exposed_us += 1; // one microsecond of drift
     let opts = AnalyzeOptions {
         label: "doctored".to_string(),
